@@ -12,7 +12,8 @@
 #                        timings are informational (1x runs are noisy)
 #   make scale-smoke   — the 64×64 scale gate: wall-clock and heap budgets
 #                        on a 4096-node pattern sweep (see TestScaleSmoke)
-#   make golden        — rewrite internal/core/testdata/golden.json from HEAD
+#   make golden        — rewrite internal/core/testdata (golden.json and the
+#                        sweeps/ CSV goldens) from HEAD
 #   make golden-serve  — rewrite the internal/serve golden protocol files from HEAD
 #   make examples-smoke — build and run every examples/ binary (output discarded)
 #   make serve-smoke   — hyppi-serve selftest: sustained q/s + cache hit-rate gate
@@ -26,6 +27,8 @@
 #                        whose Chrome trace export must parse and whose
 #                        probe series must match the window math
 #                        (see TestTelemetrySmoke)
+#   make loc           — count non-test Go lines (perfbench/ excluded), the
+#                        figure each change reports in CHANGES.md
 
 GO ?= go
 
@@ -33,7 +36,7 @@ GO ?= go
 # pinned baseline.
 BENCH_OUT ?= /tmp/hyppi-bench-current.txt
 
-.PHONY: ci vet test short race fmt-check bench bench-baseline bench-compare scale-smoke golden golden-serve examples-smoke serve-smoke fault-smoke taskgraph-smoke telemetry-smoke
+.PHONY: ci vet test short race fmt-check bench bench-baseline bench-compare scale-smoke golden golden-serve examples-smoke serve-smoke fault-smoke taskgraph-smoke telemetry-smoke loc
 
 # Ordered so the cheapest gates fail first: vet (seconds), short
 # (seconds), race-short (tens of seconds), then the full suite.
@@ -112,7 +115,7 @@ serve-smoke:
 # determinism on the fault axis, and the device-variant BER coupling.
 fault-smoke:
 	$(GO) test ./internal/fault -timeout 300s -v
-	$(GO) test ./internal/core -run TestFaultSweep -timeout 600s -v
+	$(GO) test ./internal/core -run 'TestFaultSweep|TestSweepsSerialParallelIdentical/^Fault$$' -timeout 600s -v
 
 # The closed-loop workload gate: the ring/tree-allreduce and MoE
 # all-to-all operator graphs replayed with dependency-gated injection on
@@ -127,4 +130,9 @@ taskgraph-smoke:
 # (Cycles/W + 1 closed windows, no evictions at the smoke horizon).
 telemetry-smoke:
 	$(GO) test ./internal/telemetry -timeout 300s -v
-	$(GO) test ./internal/core -run TestTelemetry -timeout 300s -v
+	$(GO) test ./internal/core -run 'TestTelemetry|TestSweepsSerialParallelIdentical/^Telemetry$$' -timeout 300s -v
+
+# Non-test Go source lines outside perfbench/ (which is a separate module
+# with its own budget): the net-LOC figure a change reports.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' -print0 | xargs -0 cat | wc -l

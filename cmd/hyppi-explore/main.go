@@ -262,7 +262,7 @@ func runEnergySweep(kinds []topology.Kind, spec string, o core.Options, simW, si
 			core.DesignPoint{Base: tech.Electronic, Express: tech.Electronic, Hops: 3},
 			core.DesignPoint{Base: tech.Electronic, Express: tech.HyPPI, Hops: 3})
 	}
-	sc := core.DefaultEnergySweep()
+	sc := core.DefaultPatternSweep()
 	results, err := core.EnergySweep(context.Background(), kinds,
 		points, pats, sc, o, runner.Config{Workers: workers})
 	if err != nil {

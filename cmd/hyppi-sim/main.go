@@ -380,7 +380,7 @@ func runEnergySweep(kinds []topology.Kind, spec string, exTech tech.Technology,
 		// Non-mesh kinds take no express channels: plain fabric per kind.
 		points = []core.DesignPoint{{Base: tech.Electronic, Express: tech.Electronic, Hops: 0}}
 	}
-	sc := core.DefaultEnergySweep()
+	sc := core.DefaultPatternSweep()
 	results, err := core.EnergySweep(context.Background(), kinds, points, patterns, sc, o, pool)
 	if err != nil {
 		return err

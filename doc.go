@@ -36,9 +36,9 @@
 //
 // Beyond the paper's workloads, internal/traffic carries a registry of
 // named synthetic patterns (uniform, transpose, bitcomp, bitrev, shuffle,
-// tornado, neighbor, hotspot); noc.PatternLoadLatencyCurves and
-// core.PatternSweep measure each pattern's saturation throughput with the
-// latency-knee rule documented at noc.DetectSaturation. Beyond the
+// tornado, neighbor, hotspot); core.PatternSweep measures each pattern's
+// saturation throughput with the latency-knee rule documented at
+// noc.DetectSaturation. Beyond the
 // paper's fabric, internal/topology carries a registry of named topology
 // kinds (mesh, torus, cmesh, fbfly) sharing one Link/NodeID model;
 // core.ExploreKinds and core.TopologyPatternSweep sweep the kind axis,

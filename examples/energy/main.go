@@ -49,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sc := core.DefaultEnergySweep()
+	sc := core.DefaultPatternSweep()
 	results, err := core.EnergySweep(context.Background(), []topology.Kind{topology.Mesh},
 		points, pats, sc, o, runner.Config{})
 	if err != nil {

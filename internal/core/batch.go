@@ -8,7 +8,6 @@ import (
 	"repro/internal/energy"
 	"repro/internal/noc"
 	"repro/internal/npb"
-	"repro/internal/routing"
 	"repro/internal/runner"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -66,11 +65,10 @@ type EvalCellResult struct {
 }
 
 // evalEnv is the shared, read-only per-(kind, geometry, point) context of
-// a batch: the built network, its routing table and — when any cell of
-// the batch prices energy — the folded energy model.
+// a batch: the resolved fabric and — when any cell of the batch prices
+// energy — the folded energy model.
 type evalEnv struct {
-	net   *topology.Network
-	tab   *routing.Table
+	fabric
 	model *energy.Model
 	err   error
 }
@@ -81,11 +79,8 @@ type evalEnvKey struct {
 	point         DesignPoint
 }
 
-// options returns the Options with the cell's kind and geometry applied.
+// options returns the Options with the cell's geometry applied.
 func (c EvalCell) options(o Options) Options {
-	if c.Kind != "" {
-		o.Topology.Kind = c.Kind
-	}
 	if c.Width > 0 {
 		o.Topology.Width = c.Width
 	}
@@ -110,7 +105,7 @@ func (c EvalCell) envKey() evalEnvKey {
 // coalesced with arbitrary neighbours yields the same bytes. Per-cell
 // failures land in EvalCellResult.Err; EvalCells itself fails only on
 // context cancellation or an empty batch.
-func EvalCells(ctx context.Context, cells []EvalCell, sc EnergySweepConfig, o Options, pool runner.Config) ([]EvalCellResult, error) {
+func EvalCells(ctx context.Context, cells []EvalCell, sc PatternSweepConfig, o Options, pool runner.Config) ([]EvalCellResult, error) {
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("core: empty evaluation batch")
 	}
@@ -125,7 +120,7 @@ func EvalCells(ctx context.Context, cells []EvalCell, sc EnergySweepConfig, o Op
 		env, ok := envs[key]
 		if !ok {
 			env = &evalEnv{}
-			env.net, env.tab, env.err = c.options(o).NetworkAndTable(c.Point)
+			env.fabric, env.err = c.options(o).fabric(c.Kind, c.Point)
 			envs[key] = env
 		}
 		if c.Energy && env.err == nil && env.model == nil {
@@ -142,14 +137,17 @@ func EvalCells(ctx context.Context, cells []EvalCell, sc EnergySweepConfig, o Op
 }
 
 // evalOneCell runs one cell against its resolved environment.
-func evalOneCell(c EvalCell, env *evalEnv, sc EnergySweepConfig, sims *noc.SimPool) EvalCellResult {
+func evalOneCell(c EvalCell, env *evalEnv, sc PatternSweepConfig, sims *noc.SimPool) EvalCellResult {
 	fail := func(err error) EvalCellResult {
 		return EvalCellResult{Err: fmt.Errorf("core: %v: %w", c.Point, err)}
 	}
 	if env.err != nil {
 		return fail(env.err)
 	}
-	var pkts []noc.Packet
+	var (
+		st     noc.Stats
+		runErr error
+	)
 	switch {
 	case c.Pattern != nil && c.Trace != nil:
 		return fail(fmt.Errorf("cell has both a pattern and a trace"))
@@ -157,40 +155,24 @@ func evalOneCell(c EvalCell, env *evalEnv, sc EnergySweepConfig, sims *noc.SimPo
 		if c.Rate <= 0 {
 			return fail(fmt.Errorf("pattern cell needs a positive rate, got %v", c.Rate))
 		}
-		base, err := c.Pattern.Generate(env.net, 1)
+		base, err := patternBase(c.Pattern, env.net)
 		if err != nil {
 			return fail(err)
 		}
-		if err := base.Validate(); err != nil {
-			return fail(err)
-		}
-		pkts, err = sc.Workload.Generate(env.net, base.ScaledToMaxRate(c.Rate))
-		if err != nil {
-			return fail(err)
-		}
+		st, runErr = env.loadRun(base, c.Rate, sc.Workload, sc.NoC, sims, nil)
 	case c.Trace != nil:
 		events, err := npb.Generate(*c.Trace)
 		if err != nil {
 			return fail(err)
 		}
-		pkts, err = trace.Packetize(events, env.net.NumNodes(), trace.DefaultPacketize())
+		pkts, err := trace.Packetize(events, env.net.NumNodes(), trace.DefaultPacketize())
 		if err != nil {
 			return fail(err)
 		}
+		st, runErr = sims.Run(env.net, env.tab, sc.NoC, func(s *noc.Sim) error { return s.InjectAll(pkts) })
 	default:
 		return fail(fmt.Errorf("cell has neither a pattern nor a trace"))
 	}
-
-	sim, err := sims.Get(env.net, env.tab, sc.NoC)
-	if err != nil {
-		return fail(err)
-	}
-	if err := sim.InjectAll(pkts); err != nil {
-		sims.Put(sim)
-		return fail(err)
-	}
-	st, runErr := sim.Run()
-	sims.Put(sim)
 	res := EvalCellResult{
 		AvgLatencyClks: st.AvgPacketLatencyClks,
 		P99LatencyClks: st.P99PacketLatencyClks,
@@ -207,6 +189,7 @@ func evalOneCell(c EvalCell, env *evalEnv, sc EnergySweepConfig, sims *noc.SimPo
 		return res
 	}
 	if c.Energy {
+		var err error
 		if res.Run, err = env.model.Price(st); err != nil {
 			return fail(err)
 		}

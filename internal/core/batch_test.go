@@ -15,8 +15,8 @@ import (
 
 // batchSweepConfig keeps EvalCells tests in the milliseconds range: a
 // short Bernoulli horizon on tiny grids.
-func batchSweepConfig() EnergySweepConfig {
-	sc := DefaultEnergySweep()
+func batchSweepConfig() PatternSweepConfig {
+	sc := DefaultPatternSweep()
 	sc.Workload.Cycles = 400
 	return sc
 }

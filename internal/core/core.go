@@ -8,6 +8,17 @@
 //	RunTraceExperiment — Fig. 6, Table V (cycle-accurate NPB traces)
 //	AllOpticalRadar    — Fig. 8, Table VI (fully optical projections)
 //
+// The cycle-accurate sweeps beyond the paper (PatternSweep,
+// TopologyPatternSweep, EnergySweep, FaultSweep, TaskGraphSweep,
+// TopologyTaskGraphSweep, TelemetrySweep and the serving layer's
+// EvalCells) share one plumbing: the kind × design-point fabrics are
+// resolved through the Options' network cache before the batch fans out,
+// pattern matrices are generated and validated on each fabric, and every
+// simulation runs through noc.SimPool.Run on one batch-wide pool. Each
+// sweep schedules one runner job per (fabric, workload) cell and walks
+// its rate ladder serially inside the job. PatternSweep, EnergySweep and
+// EvalCells take the same PatternSweepConfig.
+//
 // Every experiment is deterministic given its configuration.
 package core
 
@@ -128,23 +139,15 @@ func Explore(points []DesignPoint, o Options) ([]ExplorationResult, error) {
 // failure cancels the remaining points, and cfg.Progress observes
 // completions. Results are returned in point order whatever the pool size.
 func ExploreContext(ctx context.Context, points []DesignPoint, o Options, cfg runner.Config) ([]ExplorationResult, error) {
-	params := analytic.Params{DSENT: o.DSENT, RouterPipelineClks: o.RouterPipelineClks}
-	return runner.Map(ctx, len(points), cfg, func(_ context.Context, i int) (ExplorationResult, error) {
-		p := points[i]
-		net, tab, err := o.NetworkAndTable(p)
-		if err != nil {
-			return ExplorationResult{}, fmt.Errorf("core: %v: %w", p, err)
-		}
-		tm, err := o.cache().Soteriou(net, o.Traffic)
-		if err != nil {
-			return ExplorationResult{}, fmt.Errorf("core: %v: %w", p, err)
-		}
-		res, err := analytic.Evaluate(net, tab, tm, params)
-		if err != nil {
-			return ExplorationResult{}, fmt.Errorf("core: %v: %w", p, err)
-		}
-		return ExplorationResult{Point: p, Result: res}, nil
-	})
+	rows, err := exploreKinds(ctx, nil, points, o, cfg)
+	if err != nil {
+		return nil, err
+	}
+	results := make([]ExplorationResult, len(rows))
+	for i, r := range rows {
+		results[i] = ExplorationResult{Point: r.Point, Result: r.Result}
+	}
+	return results, nil
 }
 
 // WithKind returns a copy of the Options targeting the given topology
@@ -177,25 +180,31 @@ func ExploreKinds(ctx context.Context, kinds []topology.Kind, points []DesignPoi
 	if len(kinds) == 0 || len(points) == 0 {
 		return nil, fmt.Errorf("core: kind exploration needs kinds and points")
 	}
+	return exploreKinds(ctx, kinds, points, o, cfg)
+}
+
+// exploreKinds is the (kind × point) body of Explore and ExploreKinds; nil
+// kinds selects the Options' kind. Each job resolves its own fabric, so
+// cold-cache network builds run in parallel.
+func exploreKinds(ctx context.Context, kinds []topology.Kind, points []DesignPoint, o Options, cfg runner.Config) ([]KindExploration, error) {
 	params := analytic.Params{DSENT: o.DSENT, RouterPipelineClks: o.RouterPipelineClks}
-	return runner.Map(ctx, len(kinds)*len(points), cfg, func(_ context.Context, i int) (KindExploration, error) {
-		kind, p := kinds[i/len(points)], points[i%len(points)]
-		ko := o.WithKind(kind)
-		net, tab, err := ko.NetworkAndTable(p)
+	axis := kindAxis(kinds)
+	return runner.Map(ctx, len(axis)*len(points), cfg, func(_ context.Context, i int) (KindExploration, error) {
+		f, err := o.fabric(axis[i/len(points)], points[i%len(points)])
 		if err != nil {
-			return KindExploration{}, fmt.Errorf("core: %v %v: %w", kind, p, err)
+			return KindExploration{}, fmt.Errorf("core: %v: %w", f, err)
 		}
-		tm, err := ko.cache().Soteriou(net, ko.Traffic)
+		tm, err := o.cache().Soteriou(f.net, o.Traffic)
 		if err != nil {
-			return KindExploration{}, fmt.Errorf("core: %v %v: %w", kind, p, err)
+			return KindExploration{}, fmt.Errorf("core: %v: %w", f, err)
 		}
-		res, err := analytic.Evaluate(net, tab, tm, params)
+		res, err := analytic.Evaluate(f.net, f.tab, tm, params)
 		if err != nil {
-			return KindExploration{}, fmt.Errorf("core: %v %v: %w", kind, p, err)
+			return KindExploration{}, fmt.Errorf("core: %v: %w", f, err)
 		}
 		return KindExploration{
-			Kind: kind, Point: p, Result: res,
-			NumNodes: net.NumNodes(), Channels: len(net.Links), MaxPorts: net.MaxPorts(),
+			Kind: f.kind, Point: f.point, Result: res,
+			NumNodes: f.net.NumNodes(), Channels: len(f.net.Links), MaxPorts: f.net.MaxPorts(),
 		}, nil
 	})
 }
@@ -227,9 +236,9 @@ func RunTraceExperiment(kernel npb.Config, point DesignPoint, o Options, nocCfg 
 	return runTraceExperiment(kernel, point, o, nocCfg, nil)
 }
 
-// runTraceExperiment is RunTraceExperiment with simulator reuse: the Sim is
-// drawn from (and returned to) sims when non-nil. The topology and routing
-// table always come from the process-wide network cache.
+// runTraceExperiment is RunTraceExperiment with simulator reuse through
+// sims (nil builds a fresh Sim). The topology and routing table always
+// come from the process-wide network cache.
 func runTraceExperiment(kernel npb.Config, point DesignPoint, o Options, nocCfg noc.Config,
 	sims *noc.SimPool) (TraceResult, error) {
 	events, err := npb.Generate(kernel)
@@ -244,15 +253,7 @@ func runTraceExperiment(kernel npb.Config, point DesignPoint, o Options, nocCfg 
 	if err != nil {
 		return TraceResult{}, err
 	}
-	sim, err := sims.Get(net, tab, nocCfg)
-	if err != nil {
-		return TraceResult{}, err
-	}
-	if err := sim.InjectAll(packets); err != nil {
-		return TraceResult{}, err
-	}
-	stats, err := sim.Run()
-	sims.Put(sim)
+	stats, err := sims.Run(net, tab, nocCfg, func(s *noc.Sim) error { return s.InjectAll(packets) })
 	if err != nil {
 		return TraceResult{}, err
 	}

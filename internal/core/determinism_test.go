@@ -10,6 +10,7 @@ import (
 	"repro/internal/npb"
 	"repro/internal/runner"
 	"repro/internal/tech"
+	"repro/internal/topology"
 )
 
 // TestExploreSerialParallelIdentical: the concurrent engine must return
@@ -47,30 +48,85 @@ func TestExploreSerialParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestTraceExperimentsSerialParallelIdentical: batched cycle-accurate trace
-// runs are bit-identical across worker counts (same seed, any pool size).
-func TestTraceExperimentsSerialParallelIdentical(t *testing.T) {
-	o := DefaultOptions()
-	k := npb.DefaultConfig(npb.LU)
-	k.Iterations = 1
-	k.Scale = 1.0 / 64
-	var jobs []TraceJob
-	for _, hops := range []int{0, 3, 5} {
-		jobs = append(jobs, TraceJob{Kernel: k, Point: DesignPoint{
-			Base: tech.Electronic, Express: tech.HyPPI, Hops: hops}})
+// TestSweepsSerialParallelIdentical enforces the repository's determinism
+// contract on every sweep entry point: each fixture's output is
+// bit-identical for Workers 1 and Workers 7 (run under -race by make
+// race). The energy row includes the Pareto marking; the fault row covers
+// the fault-randomness seed chain across both geometries and both device
+// variants; task-graph dependency releases are simulation events, not
+// wall-clock ones, so worker interleaving cannot reach them; the
+// telemetry row compares stats, the full span set and every retained
+// probe window (telemetryKey).
+func TestSweepsSerialParallelIdentical(t *testing.T) {
+	ctx := context.Background()
+	mesh := []topology.Kind{topology.Mesh}
+	cases := []struct {
+		name string
+		run  func(t *testing.T, pool runner.Config) (any, error)
+	}{
+		{"Pattern", func(t *testing.T, pool runner.Config) (any, error) {
+			points, pats, sc, o := sweepFixture(t)
+			return PatternSweep(ctx, points, pats, sc, o, pool)
+		}},
+		{"TopologyPattern", func(t *testing.T, pool runner.Config) (any, error) {
+			kinds, pats, sc, o := kindSweepFixture(t)
+			return TopologyPatternSweep(ctx, kinds, pats, sc, o, pool)
+		}},
+		{"ExploreKinds", func(t *testing.T, pool runner.Config) (any, error) {
+			o := DefaultOptions()
+			o.Topology.Width, o.Topology.Height = 6, 6
+			points := []DesignPoint{{Base: tech.Electronic, Express: tech.Electronic, Hops: 0}}
+			return ExploreKinds(ctx, topology.Kinds(), points, o, pool)
+		}},
+		{"Energy", func(t *testing.T, pool runner.Config) (any, error) {
+			points, pats, sc, o := sweepFixture(t)
+			return EnergySweep(ctx, mesh, points, pats, sc, o, pool)
+		}},
+		{"Fault", func(t *testing.T, pool runner.Config) (any, error) {
+			points, variants, pats, sc, o := faultFixture(t)
+			return FaultSweep(ctx, mesh, points, variants, pats, sc, o, pool)
+		}},
+		{"TaskGraph", func(t *testing.T, pool runner.Config) (any, error) {
+			points, gens, sc, o := taskGraphFixture(t)
+			return TaskGraphSweep(ctx, points, gens, sc, o, pool)
+		}},
+		{"Telemetry", func(t *testing.T, pool runner.Config) (any, error) {
+			points, pats, sc, o := telemetryFixture(t)
+			res, err := TelemetrySweep(ctx, points, pats, sc, o, pool)
+			if err != nil {
+				return nil, err
+			}
+			return telemetryKey(t, res), nil
+		}},
+		{"Trace", func(t *testing.T, pool runner.Config) (any, error) {
+			k := npb.DefaultConfig(npb.LU)
+			k.Iterations = 1
+			k.Scale = 1.0 / 64
+			var jobs []TraceJob
+			for _, hops := range []int{0, 3, 5} {
+				jobs = append(jobs, TraceJob{Kernel: k, Point: DesignPoint{
+					Base: tech.Electronic, Express: tech.HyPPI, Hops: hops}})
+			}
+			return RunTraceExperiments(ctx, jobs, DefaultOptions(), noc.DefaultConfig(), pool)
+		}},
+		{"EvalCells", func(t *testing.T, pool runner.Config) (any, error) {
+			return EvalCells(ctx, batchCells(t), batchSweepConfig(), DefaultOptions(), pool)
+		}},
 	}
-	serial, err := RunTraceExperiments(context.Background(), jobs, o, noc.DefaultConfig(), runner.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunTraceExperiments(context.Background(), jobs, o, noc.DefaultConfig(), runner.Config{Workers: len(jobs)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if !reflect.DeepEqual(serial[i], par[i]) {
-			t.Errorf("job %d (%v): serial and parallel TraceResults differ", i, jobs[i].Point)
-		}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			serial, err := c.run(t, runner.Config{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			parallel, err := c.run(t, runner.Config{Workers: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(serial, parallel) {
+				t.Fatalf("Workers 1 and 7 diverge:\nserial:   %+v\nparallel: %+v", serial, parallel)
+			}
+		})
 	}
 }
 

@@ -7,33 +7,10 @@ import (
 
 	"repro/internal/energy"
 	"repro/internal/noc"
-	"repro/internal/routing"
 	"repro/internal/runner"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
-
-// EnergySweepConfig parameterizes a latency–energy sweep.
-type EnergySweepConfig struct {
-	// Rates is the ascending offered-load grid in flits/cycle.
-	Rates []float64
-	// Workload shapes the open-loop arrivals at each point.
-	Workload noc.BernoulliWorkload
-	// NoC configures the cycle-accurate simulator.
-	NoC noc.Config
-}
-
-// DefaultEnergySweep mirrors DefaultPatternSweep: a rate ladder from well
-// below to well beyond mesh saturation on the 8×8 cycle-accurate scale.
-func DefaultEnergySweep() EnergySweepConfig {
-	ps := DefaultPatternSweep()
-	return EnergySweepConfig{Rates: ps.Rates, Workload: ps.Workload, NoC: ps.NoC}
-}
-
-// Validate checks the sweep parameters.
-func (c EnergySweepConfig) Validate() error {
-	return PatternSweepConfig{Rates: c.Rates, Workload: c.Workload, NoC: c.NoC}.Validate()
-}
 
 // EnergyPoint is one (offered rate) sample of a latency–energy curve.
 type EnergyPoint struct {
@@ -88,7 +65,7 @@ func (r EnergySweepResult) PointLabel() string {
 // Non-mesh kinds reject express design points at Build time; pass plain
 // (Hops = 0) points for kind-portable sweeps, exactly as with ExploreKinds.
 func EnergySweep(ctx context.Context, kinds []topology.Kind, points []DesignPoint,
-	patterns []traffic.Pattern, sc EnergySweepConfig, o Options, pool runner.Config) ([]EnergySweepResult, error) {
+	patterns []traffic.Pattern, sc PatternSweepConfig, o Options, pool runner.Config) ([]EnergySweepResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -97,56 +74,38 @@ func EnergySweep(ctx context.Context, kinds []topology.Kind, points []DesignPoin
 	}
 	// Networks, tables and energy models depend only on (kind, point):
 	// resolve them once up front and share them read-only across the pool.
-	type cellEnv struct {
-		kind  topology.Kind
-		point DesignPoint
-		net   *topology.Network
-		tab   *routing.Table
-		model *energy.Model
+	fabs, err := o.fabrics(kinds, points)
+	if err != nil {
+		return nil, err
 	}
-	envs := make([]cellEnv, 0, len(kinds)*len(points))
-	for _, kind := range kinds {
-		ko := o.WithKind(kind)
-		for _, point := range points {
-			net, tab, err := ko.NetworkAndTable(point)
-			if err != nil {
-				return nil, fmt.Errorf("core: %v %v: %w", kind, point, err)
-			}
-			model, err := energy.NewModel(net, o.DSENT)
-			if err != nil {
-				return nil, fmt.Errorf("core: %v %v: %w", kind, point, err)
-			}
-			envs = append(envs, cellEnv{kind: net.Config.Kind, point: point, net: net, tab: tab, model: model})
+	models := make([]*energy.Model, len(fabs))
+	for i, f := range fabs {
+		if models[i], err = energy.NewModel(f.net, o.DSENT); err != nil {
+			return nil, fmt.Errorf("core: %v: %w", f, err)
 		}
 	}
 	sims := noc.NewSimPool()
-	n := len(envs) * len(patterns)
-	results, err := runner.Map(ctx, n, pool, func(ctx context.Context, i int) (EnergySweepResult, error) {
-		env, pat := envs[i/len(patterns)], patterns[i%len(patterns)]
-		point := env.point
-		base, err := pat.Generate(env.net, 1)
+	results, err := runner.Map(ctx, len(fabs)*len(patterns), pool, func(ctx context.Context, i int) (EnergySweepResult, error) {
+		f, model, pat := fabs[i/len(patterns)], models[i/len(patterns)], patterns[i%len(patterns)]
+		base, err := patternBase(pat, f.net)
 		if err != nil {
-			return EnergySweepResult{}, fmt.Errorf("core: %v %v / %s: %w", env.kind, point, pat.Name(), err)
-		}
-		if err := base.Validate(); err != nil {
-			return EnergySweepResult{}, fmt.Errorf("core: %v %v / %s: %w", env.kind, point, pat.Name(), err)
+			return EnergySweepResult{}, fmt.Errorf("core: %v / %s: %w", f, pat.Name(), err)
 		}
 		res := EnergySweepResult{
-			Kind:    env.kind,
-			Point:   point,
+			Kind:    f.kind,
+			Point:   f.point,
 			Pattern: pat.Name(),
-			StaticW: env.model.StaticW(),
-			AreaM2:  env.model.AreaM2(),
+			StaticW: model.StaticW(),
+			AreaM2:  model.AreaM2(),
 			Points:  make([]EnergyPoint, 0, len(sc.Rates)),
 		}
 		for _, rate := range sc.Rates {
 			if err := ctx.Err(); err != nil {
 				return EnergySweepResult{}, err
 			}
-			ep, err := energyPoint(env.net, env.tab, env.model, base, rate, sc, sims)
+			ep, err := energyPoint(f, model, base, rate, sc, sims)
 			if err != nil {
-				return EnergySweepResult{}, fmt.Errorf("core: %v %v / %s @ %v: %w",
-					env.kind, point, pat.Name(), rate, err)
+				return EnergySweepResult{}, fmt.Errorf("core: %v / %s @ %v: %w", f, pat.Name(), rate, err)
 			}
 			res.Points = append(res.Points, ep)
 		}
@@ -161,29 +120,16 @@ func EnergySweep(ctx context.Context, kinds []topology.Kind, points []DesignPoin
 
 // energyPoint runs one offered-load sample and prices it. A run that fails
 // to drain is flagged Saturated rather than failing the sweep.
-func energyPoint(net *topology.Network, tab *routing.Table, model *energy.Model,
-	base *traffic.Matrix, rate float64, sc EnergySweepConfig, sims *noc.SimPool) (EnergyPoint, error) {
-	tm := base.ScaledToMaxRate(rate)
-	pkts, err := sc.Workload.Generate(net, tm)
-	if err != nil {
-		return EnergyPoint{}, err
-	}
-	sim, err := sims.Get(net, tab, sc.NoC)
-	if err != nil {
-		return EnergyPoint{}, err
-	}
-	if err := sim.InjectAll(pkts); err != nil {
-		return EnergyPoint{}, err
-	}
-	st, err := sim.Run()
-	sims.Put(sim)
+func energyPoint(f fabric, model *energy.Model, base *traffic.Matrix, rate float64,
+	sc PatternSweepConfig, sims *noc.SimPool) (EnergyPoint, error) {
+	st, err := f.loadRun(base, rate, sc.Workload, sc.NoC, sims, nil)
 	ep := EnergyPoint{Rate: rate}
-	if err != nil {
-		if !errors.Is(err, noc.ErrSaturated) {
-			return EnergyPoint{}, err
-		}
+	if errors.Is(err, noc.ErrSaturated) {
 		ep.Saturated = true
 		return ep, nil
+	}
+	if err != nil {
+		return EnergyPoint{}, err
 	}
 	ep.AvgLatencyClks = st.AvgPacketLatencyClks
 	ep.P99LatencyClks = st.P99PacketLatencyClks

@@ -2,27 +2,16 @@ package core
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
 	"repro/internal/runner"
 	"repro/internal/tech"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 	"repro/internal/units"
 )
 
-// energySweepFixture reuses the tiny pattern-sweep fixture for the energy
-// matrix (4×4 grid, short horizon) so the determinism test runs under
-// -race in short mode.
-func energySweepFixture(t *testing.T) ([]DesignPoint, []traffic.Pattern, EnergySweepConfig, Options) {
-	t.Helper()
-	points, pats, ps, o := sweepFixture(t)
-	return points, pats, EnergySweepConfig{Rates: ps.Rates, Workload: ps.Workload, NoC: ps.NoC}, o
-}
-
 func TestEnergySweepShape(t *testing.T) {
-	points, pats, sc, o := energySweepFixture(t)
+	points, pats, sc, o := sweepFixture(t)
 	kinds := []topology.Kind{topology.Mesh}
 	results, err := EnergySweep(context.Background(), kinds, points, pats, sc, o, runner.Config{})
 	if err != nil {
@@ -64,32 +53,10 @@ func TestEnergySweepShape(t *testing.T) {
 	}
 }
 
-// TestEnergySweepSerialParallelIdentical enforces the repository's
-// determinism contract on the kind × point × pattern × load energy matrix:
-// output (including the Pareto marking) is bit-identical for Workers 1 and
-// Workers N (run under -race by make race).
-func TestEnergySweepSerialParallelIdentical(t *testing.T) {
-	points, pats, sc, o := energySweepFixture(t)
-	kinds := []topology.Kind{topology.Mesh}
-	serial, err := EnergySweep(context.Background(), kinds, points, pats, sc, o,
-		runner.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := EnergySweep(context.Background(), kinds, points, pats, sc, o,
-		runner.Config{Workers: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("serial and parallel energy sweeps diverge")
-	}
-}
-
 // TestEnergySweepAcrossKinds: the kind axis works end to end on plain
 // points, and each cell reports the canonical kind it ran on.
 func TestEnergySweepAcrossKinds(t *testing.T) {
-	_, pats, sc, o := energySweepFixture(t)
+	_, pats, sc, o := sweepFixture(t)
 	pats = pats[:1]
 	sc.Rates = sc.Rates[:1]
 	plain := []DesignPoint{{Base: tech.Electronic, Express: tech.Electronic, Hops: 0}}
@@ -116,7 +83,7 @@ func TestEnergySweepAcrossKinds(t *testing.T) {
 // marked point is dominated, and every unmarked drained point is dominated
 // by some marked one.
 func TestEnergySweepParetoFrontier(t *testing.T) {
-	points, pats, sc, o := energySweepFixture(t)
+	points, pats, sc, o := sweepFixture(t)
 	results, err := EnergySweep(context.Background(), []topology.Kind{topology.Mesh},
 		points, pats, sc, o, runner.Config{})
 	if err != nil {
@@ -171,7 +138,7 @@ func TestEnergySweepParetoFrontier(t *testing.T) {
 }
 
 func TestEnergySweepValidation(t *testing.T) {
-	points, pats, sc, o := energySweepFixture(t)
+	points, pats, sc, o := sweepFixture(t)
 	kinds := []topology.Kind{topology.Mesh}
 	ctx := context.Background()
 	if _, err := EnergySweep(ctx, nil, points, pats, sc, o, runner.Config{}); err == nil {

@@ -176,56 +176,36 @@ func FaultSweep(ctx context.Context, kinds []topology.Kind, points []DesignPoint
 	if len(kinds) == 0 || len(points) == 0 || len(variants) == 0 || len(patterns) == 0 {
 		return nil, fmt.Errorf("core: fault sweep needs kinds, points, variants and patterns")
 	}
-	type cellEnv struct {
-		kind    topology.Kind
-		point   DesignPoint
-		variant string
-		net     *topology.Network
-		tab     *routing.Table
-		model   *energy.Model
-		thermal fault.ThermalConfig
+	fabs, err := o.fabrics(kinds, points)
+	if err != nil {
+		return nil, err
 	}
-	envs := make([]cellEnv, 0, len(kinds)*len(points)*len(variants))
-	for _, kind := range kinds {
-		ko := o.WithKind(kind)
-		for _, point := range points {
-			net, tab, err := ko.NetworkAndTable(point)
+	envs := make([]faultCell, 0, len(fabs)*len(variants))
+	for _, f := range fabs {
+		for _, variant := range variants {
+			dv, err := dsent.LookupVariant(variant)
 			if err != nil {
-				return nil, fmt.Errorf("core: %v %v: %w", kind, point, err)
+				return nil, fmt.Errorf("core: %v: %w", f, err)
 			}
-			for _, variant := range variants {
-				dv, err := dsent.LookupVariant(variant)
-				if err != nil {
-					return nil, fmt.Errorf("core: %v %v: %w", kind, point, err)
-				}
-				cfg := o.DSENT
-				cfg.Variant = variant
-				model, err := energy.NewModel(net, cfg)
-				if err != nil {
-					return nil, fmt.Errorf("core: %v %v [%s]: %w", kind, point, variant, err)
-				}
-				tc := sc.Thermal
-				tc.BaseFlitErrorProb = dv.FlitErrorProb
-				envs = append(envs, cellEnv{
-					kind: net.Config.Kind, point: point, variant: variant,
-					net: net, tab: tab, model: model, thermal: tc,
-				})
+			cfg := o.DSENT
+			cfg.Variant = variant
+			model, err := energy.NewModel(f.net, cfg)
+			if err != nil {
+				return nil, fmt.Errorf("core: %v [%s]: %w", f, variant, err)
 			}
+			tc := sc.Thermal
+			tc.BaseFlitErrorProb = dv.FlitErrorProb
+			envs = append(envs, faultCell{fabric: f, variant: variant, model: model, thermal: tc})
 		}
 	}
 	sims := noc.NewSimPool()
-	n := len(envs) * len(patterns)
-	return runner.Map(ctx, n, pool, func(ctx context.Context, i int) (FaultSweepResult, error) {
+	return runner.Map(ctx, len(envs)*len(patterns), pool, func(ctx context.Context, i int) (FaultSweepResult, error) {
 		env, pat := envs[i/len(patterns)], patterns[i%len(patterns)]
 		fail := func(err error) (FaultSweepResult, error) {
-			return FaultSweepResult{}, fmt.Errorf("core: %v %v [%s] / %s: %w",
-				env.kind, env.point, env.variant, pat.Name(), err)
+			return FaultSweepResult{}, fmt.Errorf("core: %v [%s] / %s: %w", env.fabric, env.variant, pat.Name(), err)
 		}
-		base, err := pat.Generate(env.net, 1)
+		base, err := patternBase(pat, env.net)
 		if err != nil {
-			return fail(err)
-		}
-		if err := base.Validate(); err != nil {
 			return fail(err)
 		}
 		tm := base.ScaledToMaxRate(sc.Load)
@@ -238,8 +218,7 @@ func FaultSweep(ctx context.Context, kinds []topology.Kind, points []DesignPoint
 			if err := ctx.Err(); err != nil {
 				return FaultSweepResult{}, err
 			}
-			fp, err := faultPoint(env.net, env.tab, env.model, tm, rate,
-				runner.Seed(cellSeed, ri), env.thermal, sc, o.Policy, sims)
+			fp, err := env.faultPoint(tm, rate, runner.Seed(cellSeed, ri), sc, o.Policy, sims)
 			if err != nil {
 				return fail(fmt.Errorf("fault rate %v: %w", rate, err))
 			}
@@ -256,11 +235,19 @@ func FaultSweep(ctx context.Context, kinds []topology.Kind, points []DesignPoint
 	})
 }
 
-// faultPoint walks one fault rate's epochs for one cell.
-func faultPoint(net *topology.Network, tab *routing.Table, model *energy.Model,
-	tm *traffic.Matrix, rate float64, rateSeed int64, tc fault.ThermalConfig,
+// faultCell is one (kind, design point, device variant) fabric of a fault
+// sweep with its variant-priced energy model and thermal configuration.
+type faultCell struct {
+	fabric
+	variant string
+	model   *energy.Model
+	thermal fault.ThermalConfig
+}
+
+// faultPoint walks one fault rate's epochs for the cell.
+func (c faultCell) faultPoint(tm *traffic.Matrix, rate float64, rateSeed int64,
 	sc FaultSweepConfig, policy routing.Policy, sims *noc.SimPool) (FaultPoint, error) {
-	sched, err := fault.NewSchedule(net, fault.Config{
+	sched, err := fault.NewSchedule(c.net, fault.Config{
 		Rate:              rate,
 		TransientFraction: sc.TransientFraction,
 		Epochs:            sc.Epochs,
@@ -269,8 +256,8 @@ func faultPoint(net *topology.Network, tab *routing.Table, model *energy.Model,
 	if err != nil {
 		return FaultPoint{}, err
 	}
-	rr := fault.NewRerouter(net, tab, policy)
-	th, err := fault.NewThermal(net, tc)
+	rr := fault.NewRerouter(c.net, c.tab, policy)
+	th, err := fault.NewThermal(c.net, c.thermal)
 	if err != nil {
 		return FaultPoint{}, err
 	}
@@ -301,7 +288,7 @@ func faultPoint(net *topology.Network, tab *routing.Table, model *energy.Model,
 				downs++
 			}
 		}
-		fp.DownLinkFrac += float64(downs) / float64(len(net.Links))
+		fp.DownLinkFrac += float64(downs) / float64(len(c.net.Links))
 
 		// Epoch arrivals: the healthy reference keeps the plain
 		// Workload.Seed + epoch chain (reproducible without the fault
@@ -338,24 +325,16 @@ func faultPoint(net *topology.Network, tab *routing.Table, model *energy.Model,
 		overheadW := th.TrimmingOverheadW()
 		fp.TrimOverheadW += overheadW
 
-		sim, err := sims.Get(view.Net, view.Tab, sc.NoC)
-		if err != nil {
-			return FaultPoint{}, err
-		}
-		if err := sim.SetFaultProfile(&noc.FaultProfile{
-			LinkFlitErrorProb: probs,
-			Seed:              runner.Seed(rateSeed, 2*e+1),
-			RetryLimit:        sc.RetryLimit,
-		}); err != nil {
-			sims.Put(sim)
-			return FaultPoint{}, err
-		}
-		if err := sim.InjectAll(pkts); err != nil {
-			sims.Put(sim)
-			return FaultPoint{}, err
-		}
-		st, runErr := sim.Run()
-		sims.Put(sim)
+		st, runErr := sims.Run(view.Net, view.Tab, sc.NoC, func(s *noc.Sim) error {
+			if err := s.SetFaultProfile(&noc.FaultProfile{
+				LinkFlitErrorProb: probs,
+				Seed:              runner.Seed(rateSeed, 2*e+1),
+				RetryLimit:        sc.RetryLimit,
+			}); err != nil {
+				return err
+			}
+			return s.InjectAll(pkts)
+		})
 		if runErr != nil {
 			if !errors.Is(runErr, noc.ErrSaturated) {
 				return FaultPoint{}, runErr
@@ -367,16 +346,16 @@ func faultPoint(net *topology.Network, tab *routing.Table, model *energy.Model,
 		fp.Retransmits += st.Activity.TotalRetransmits()
 		latWeighted += st.AvgPacketLatencyClks * float64(st.PacketsEjected)
 		if runErr == nil && st.Cycles > 0 {
-			re, err := model.PriceWithStaticOverhead(st, overheadW)
+			re, err := c.model.PriceWithStaticOverhead(st, overheadW)
 			if err != nil {
 				return FaultPoint{}, err
 			}
 			totalJ += re.TotalJ
 			totalBits += re.BitsEjected
 			if st.PacketsEjected > 0 {
-				c, err := model.SimulatedCLEARWithOverhead(st, sc.Load, overheadW)
+				cl, err := c.model.SimulatedCLEARWithOverhead(st, sc.Load, overheadW)
 				if err == nil {
-					clearSum += c.Value
+					clearSum += cl.Value
 					clearN++
 				}
 			}

@@ -186,27 +186,6 @@ func TestFaultSweepZeroFaultDifferential(t *testing.T) {
 	}
 }
 
-// TestFaultSweepSerialParallelIdentical enforces the determinism contract
-// on the fault axis: bit-identical results for any worker count (run under
-// -race by make race), across both geometries and both device variants.
-func TestFaultSweepSerialParallelIdentical(t *testing.T) {
-	points, variants, pats, sc, o := faultFixture(t)
-	kinds := []topology.Kind{topology.Mesh}
-	serial, err := FaultSweep(context.Background(), kinds, points, variants, pats, sc, o,
-		runner.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := FaultSweep(context.Background(), kinds, points, variants, pats, sc, o,
-		runner.Config{Workers: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("serial and parallel fault sweeps diverge")
-	}
-}
-
 // TestFaultSweepVariantBER checks the device-variant coupling: a variant
 // with a nonzero error floor must produce retransmissions even on a
 // healthy fabric, and every one of them must be delivered or dropped

@@ -2,16 +2,18 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/noc"
-	"repro/internal/routing"
 	"repro/internal/runner"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
-// PatternSweepConfig parameterizes a pattern saturation sweep.
+// PatternSweepConfig parameterizes the open-loop load sweeps: the pattern
+// saturation sweep, the energy sweep and the serving layer's EvalCells
+// (which reads only Workload and NoC — each cell carries its own rate).
 type PatternSweepConfig struct {
 	// Rates is the ascending offered-load grid in flits/cycle; the
 	// latency-knee detector (noc.DetectSaturation) reads the first rate
@@ -101,15 +103,35 @@ func (r PatternSweepResult) ZeroLoadLatencyClks() float64 {
 }
 
 // PatternSweep runs the design-point × pattern saturation matrix on the
-// worker pool: each (point, pattern) job resolves its network and routing
-// table through the process-wide cache, generates the pattern matrix, and
-// walks the rate ladder serially with the cycle-accurate simulator,
-// recycling simulators through one batch-wide noc.SimPool. Jobs share only
-// read-only inputs and results are collected in (point-major,
-// pattern-minor) order, so the output is bit-identical for any worker
-// count — the same determinism contract as Explore. The first failure
-// cancels the batch.
+// worker pool: each (point, pattern) job generates and validates the
+// pattern matrix on the point's cached network, then walks the rate
+// ladder serially with the cycle-accurate simulator, recycling simulators
+// through one batch-wide noc.SimPool. Jobs share only read-only inputs
+// and results are collected in (point-major, pattern-minor) order, so the
+// output is bit-identical for any worker count — the same determinism
+// contract as Explore. The first failure cancels the batch.
 func PatternSweep(ctx context.Context, points []DesignPoint, patterns []traffic.Pattern,
+	sc PatternSweepConfig, o Options, pool runner.Config) ([]PatternSweepResult, error) {
+	return patternSweep(ctx, nil, points, patterns, sc, o, pool)
+}
+
+// TopologyPatternSweep runs the topology × pattern saturation matrix
+// exactly like PatternSweep, with every selected kind built at the
+// Options' grid on the plain base technology — the kind-portable design
+// point every family supports. Results come back kind-major,
+// pattern-minor. Express hybrids stay a mesh-family axis: sweep them per
+// kind through PatternSweep.
+func TopologyPatternSweep(ctx context.Context, kinds []topology.Kind, patterns []traffic.Pattern,
+	sc PatternSweepConfig, o Options, pool runner.Config) ([]PatternSweepResult, error) {
+	if len(kinds) == 0 {
+		return nil, fmt.Errorf("core: topology sweep with no kinds")
+	}
+	return patternSweep(ctx, kinds, []DesignPoint{o.plainPoint()}, patterns, sc, o, pool)
+}
+
+// patternSweep is the (kind × point) × pattern body of both entry points;
+// nil kinds selects the Options' kind.
+func patternSweep(ctx context.Context, kinds []topology.Kind, points []DesignPoint, patterns []traffic.Pattern,
 	sc PatternSweepConfig, o Options, pool runner.Config) ([]PatternSweepResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -117,91 +139,36 @@ func PatternSweep(ctx context.Context, points []DesignPoint, patterns []traffic.
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("core: pattern sweep with no patterns")
 	}
-	// Networks and routing tables depend only on the design point:
-	// resolve them once up front and share them read-only across the pool.
-	nets := make([]*topology.Network, len(points))
-	tabs := make([]*routing.Table, len(points))
-	for i, point := range points {
-		net, tab, err := o.NetworkAndTable(point)
-		if err != nil {
-			return nil, fmt.Errorf("core: %v: %w", point, err)
-		}
-		nets[i], tabs[i] = net, tab
-	}
-	sims := noc.NewSimPool()
-	n := len(points) * len(patterns)
-	return runner.Map(ctx, n, pool, func(ctx context.Context, i int) (PatternSweepResult, error) {
-		pi, pat := i/len(patterns), patterns[i%len(patterns)]
-		point, net, tab := points[pi], nets[pi], tabs[pi]
-		// The rate ladder runs serially inside the job (Workers: 1): the
-		// pool already fans out across (point, pattern) cells, and nested
-		// pools would oversubscribe without improving determinism.
-		curves, err := noc.PatternLoadLatencyCurves(ctx, net, tab,
-			[]traffic.Pattern{pat}, sc.Rates, sc.Workload, sc.NoC, runner.Config{Workers: 1}, sims)
-		if err != nil {
-			return PatternSweepResult{}, fmt.Errorf("core: %v / %s: %w", point, pat.Name(), err)
-		}
-		c := curves[0]
-		return PatternSweepResult{
-			Kind:           o.Topology.Canonical().Kind,
-			Point:          point,
-			Pattern:        c.Pattern,
-			Curve:          c.Points,
-			SaturationRate: c.SaturationRate,
-			Saturates:      c.Saturates,
-			AtFloor:        c.AtFloor,
-		}, nil
-	})
-}
-
-// TopologyPatternSweep runs the full topology × pattern saturation matrix
-// on the worker pool: every registered (or selected) kind is built at the
-// Options' grid with the plain base technology — the kind-portable design
-// point every family supports — and swept over the pattern's rate ladder
-// with the cycle-accurate simulator, exactly like PatternSweep. Results
-// come back kind-major, pattern-minor and are bit-identical for any worker
-// count; the first failure cancels the batch. Express hybrids stay a
-// mesh-family axis: sweep them per kind through PatternSweep.
-func TopologyPatternSweep(ctx context.Context, kinds []topology.Kind, patterns []traffic.Pattern,
-	sc PatternSweepConfig, o Options, pool runner.Config) ([]PatternSweepResult, error) {
-	if err := sc.Validate(); err != nil {
+	fabs, err := o.fabrics(kinds, points)
+	if err != nil {
 		return nil, err
 	}
-	if len(kinds) == 0 {
-		return nil, fmt.Errorf("core: topology sweep with no kinds")
-	}
-	if len(patterns) == 0 {
-		return nil, fmt.Errorf("core: topology sweep with no patterns")
-	}
-	plain := DesignPoint{Base: o.Topology.BaseTech, Express: o.Topology.BaseTech, Hops: 0}
-	nets := make([]*topology.Network, len(kinds))
-	tabs := make([]*routing.Table, len(kinds))
-	for i, kind := range kinds {
-		net, tab, err := o.WithKind(kind).NetworkAndTable(plain)
-		if err != nil {
-			return nil, fmt.Errorf("core: %v: %w", kind, err)
-		}
-		nets[i], tabs[i] = net, tab
-	}
 	sims := noc.NewSimPool()
-	n := len(kinds) * len(patterns)
-	return runner.Map(ctx, n, pool, func(ctx context.Context, i int) (PatternSweepResult, error) {
-		ki, pat := i/len(patterns), patterns[i%len(patterns)]
-		kind, net, tab := kinds[ki], nets[ki], tabs[ki]
-		curves, err := noc.PatternLoadLatencyCurves(ctx, net, tab,
-			[]traffic.Pattern{pat}, sc.Rates, sc.Workload, sc.NoC, runner.Config{Workers: 1}, sims)
+	return runner.Map(ctx, len(fabs)*len(patterns), pool, func(ctx context.Context, i int) (PatternSweepResult, error) {
+		f, pat := fabs[i/len(patterns)], patterns[i%len(patterns)]
+		base, err := patternBase(pat, f.net)
 		if err != nil {
-			return PatternSweepResult{}, fmt.Errorf("core: %v / %s: %w", kind, pat.Name(), err)
+			return PatternSweepResult{}, fmt.Errorf("core: %v / %s: %w", f, pat.Name(), err)
 		}
-		c := curves[0]
-		return PatternSweepResult{
-			Kind:           net.Config.Kind, // canonical (Build resolved it)
-			Point:          plain,
-			Pattern:        c.Pattern,
-			Curve:          c.Points,
-			SaturationRate: c.SaturationRate,
-			Saturates:      c.Saturates,
-			AtFloor:        c.AtFloor,
-		}, nil
+		res := PatternSweepResult{Kind: f.kind, Point: f.point, Pattern: pat.Name(),
+			Curve: make([]noc.LoadPoint, 0, len(sc.Rates))}
+		for _, rate := range sc.Rates {
+			if err := ctx.Err(); err != nil {
+				return PatternSweepResult{}, err
+			}
+			st, err := f.loadRun(base, rate, sc.Workload, sc.NoC, sims, nil)
+			pt := noc.LoadPoint{InjectionRate: rate}
+			switch {
+			case err == nil:
+				pt.AvgLatencyClks, pt.P99LatencyClks = st.AvgPacketLatencyClks, st.P99PacketLatencyClks
+			case errors.Is(err, noc.ErrSaturated):
+				pt.Saturated = true
+			default:
+				return PatternSweepResult{}, fmt.Errorf("core: %v / %s @ %v: %w", f, pat.Name(), rate, err)
+			}
+			res.Curve = append(res.Curve, pt)
+		}
+		res.SaturationRate, res.AtFloor, res.Saturates = noc.DetectSaturation(res.Curve)
+		return res, nil
 	})
 }

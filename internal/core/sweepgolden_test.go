@@ -61,7 +61,7 @@ func TestGoldenSweeps(t *testing.T) {
 			return report.WritePatternSweep(w, res)
 		}},
 		{"energy_points.csv", func(pool runner.Config, w io.Writer) error {
-			res, err := core.EnergySweep(ctx, []topology.Kind{topology.Mesh}, points, pats, core.EnergySweepConfig(sc), o, pool)
+			res, err := core.EnergySweep(ctx, []topology.Kind{topology.Mesh}, points, pats, sc, o, pool)
 			if err != nil {
 				return err
 			}
@@ -69,7 +69,7 @@ func TestGoldenSweeps(t *testing.T) {
 		}},
 		{"energy_kinds.csv", func(pool runner.Config, w io.Writer) error {
 			res, err := core.EnergySweep(ctx, []topology.Kind{topology.Mesh, topology.Torus, topology.FBFly},
-				[]core.DesignPoint{plain}, pats[:2], core.EnergySweepConfig(sc), o, pool)
+				[]core.DesignPoint{plain}, pats[:2], sc, o, pool)
 			if err != nil {
 				return err
 			}

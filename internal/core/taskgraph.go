@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/noc"
-	"repro/internal/routing"
 	"repro/internal/runner"
 	"repro/internal/taskgraph"
 	"repro/internal/topology"
@@ -84,122 +83,68 @@ func (r TaskGraphResult) PointLabel() string {
 // determinism contract. The first failure cancels the batch.
 func TaskGraphSweep(ctx context.Context, points []DesignPoint, gens []taskgraph.Generator,
 	sc TaskGraphSweepConfig, o Options, pool runner.Config) ([]TaskGraphResult, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	if len(gens) == 0 {
-		return nil, fmt.Errorf("core: task-graph sweep with no graphs")
-	}
-	nets := make([]*topology.Network, len(points))
-	tabs := make([]*routing.Table, len(points))
-	for i, point := range points {
-		net, tab, err := o.NetworkAndTable(point)
-		if err != nil {
-			return nil, fmt.Errorf("core: %v: %w", point, err)
-		}
-		nets[i], tabs[i] = net, tab
-	}
-	graphs, err := generateGraphs(gens, o.Topology.Width*o.Topology.Height, sc.Gen)
-	if err != nil {
-		return nil, err
-	}
-	sims := noc.NewSimPool()
-	n := len(points) * len(graphs)
-	return runner.Map(ctx, n, pool, func(ctx context.Context, i int) (TaskGraphResult, error) {
-		pi, g := i/len(graphs), graphs[i%len(graphs)]
-		point, net, tab := points[pi], nets[pi], tabs[pi]
-		res, err := runTaskGraph(g, net, tab, sc.NoC, sims)
-		if err != nil {
-			return TaskGraphResult{}, fmt.Errorf("core: %v / %s: %w", point, g.Name, err)
-		}
-		res.Kind = o.Topology.Canonical().Kind
-		res.Point = point
-		return res, nil
-	})
+	return taskGraphSweep(ctx, nil, points, gens, sc, o, pool)
 }
 
-// TopologyTaskGraphSweep runs the kind × graph closed-loop matrix: every
-// selected topology family at the Options' grid with the plain base
-// technology, replaying each generated DAG exactly like TaskGraphSweep.
-// Results come back kind-major, graph-minor, bit-identical for any worker
-// count. Express hybrids stay a mesh-family axis: sweep them per kind
-// through TaskGraphSweep.
+// TopologyTaskGraphSweep runs the kind × graph closed-loop matrix exactly
+// like TaskGraphSweep, with every selected topology family at the
+// Options' grid on the plain base technology. Results come back
+// kind-major, graph-minor. Express hybrids stay a mesh-family axis: sweep
+// them per kind through TaskGraphSweep.
 func TopologyTaskGraphSweep(ctx context.Context, kinds []topology.Kind, gens []taskgraph.Generator,
+	sc TaskGraphSweepConfig, o Options, pool runner.Config) ([]TaskGraphResult, error) {
+	if len(kinds) == 0 {
+		return nil, fmt.Errorf("core: task-graph sweep with no kinds")
+	}
+	return taskGraphSweep(ctx, kinds, []DesignPoint{o.plainPoint()}, gens, sc, o, pool)
+}
+
+// taskGraphSweep is the (kind × point) × graph body of both entry points;
+// nil kinds selects the Options' kind.
+func taskGraphSweep(ctx context.Context, kinds []topology.Kind, points []DesignPoint, gens []taskgraph.Generator,
 	sc TaskGraphSweepConfig, o Options, pool runner.Config) ([]TaskGraphResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	if len(kinds) == 0 {
-		return nil, fmt.Errorf("core: task-graph sweep with no kinds")
-	}
 	if len(gens) == 0 {
 		return nil, fmt.Errorf("core: task-graph sweep with no graphs")
 	}
-	plain := DesignPoint{Base: o.Topology.BaseTech, Express: o.Topology.BaseTech, Hops: 0}
-	nets := make([]*topology.Network, len(kinds))
-	tabs := make([]*routing.Table, len(kinds))
-	for i, kind := range kinds {
-		net, tab, err := o.WithKind(kind).NetworkAndTable(plain)
-		if err != nil {
-			return nil, fmt.Errorf("core: %v: %w", kind, err)
-		}
-		nets[i], tabs[i] = net, tab
-	}
-	graphs, err := generateGraphs(gens, o.Topology.Width*o.Topology.Height, sc.Gen)
+	fabs, err := o.fabrics(kinds, points)
 	if err != nil {
 		return nil, err
 	}
-	sims := noc.NewSimPool()
-	n := len(kinds) * len(graphs)
-	return runner.Map(ctx, n, pool, func(ctx context.Context, i int) (TaskGraphResult, error) {
-		ki, g := i/len(graphs), graphs[i%len(graphs)]
-		kind, net, tab := kinds[ki], nets[ki], tabs[ki]
-		res, err := runTaskGraph(g, net, tab, sc.NoC, sims)
-		if err != nil {
-			return TaskGraphResult{}, fmt.Errorf("core: %v / %s: %w", kind, g.Name, err)
+	// Generators are pure: build and validate each graph once, shared
+	// read-only by every fabric.
+	graphs := make([]*taskgraph.Graph, len(gens))
+	for i, gen := range gens {
+		if graphs[i], err = gen.Generate(o.Topology.Width*o.Topology.Height, sc.Gen); err == nil {
+			err = graphs[i].Validate()
 		}
-		res.Kind = net.Config.Kind // canonical (Build resolved it)
-		res.Point = plain
+		if err != nil {
+			return nil, fmt.Errorf("core: graph %s: %w", gen.Name(), err)
+		}
+	}
+	sims := noc.NewSimPool()
+	return runner.Map(ctx, len(fabs)*len(graphs), pool, func(ctx context.Context, i int) (TaskGraphResult, error) {
+		f, g := fabs[i/len(graphs)], graphs[i%len(graphs)]
+		res, err := f.runTaskGraph(g, sc.NoC, sims)
+		if err != nil {
+			return TaskGraphResult{}, fmt.Errorf("core: %v / %s: %w", f, g.Name, err)
+		}
 		return res, nil
 	})
 }
 
-// generateGraphs builds and validates one graph per generator for a node
-// count.
-func generateGraphs(gens []taskgraph.Generator, numNodes int, cfg taskgraph.GenConfig) ([]*taskgraph.Graph, error) {
-	graphs := make([]*taskgraph.Graph, len(gens))
-	for i, gen := range gens {
-		g, err := gen.Generate(numNodes, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: graph %s: %w", gen.Name(), err)
-		}
-		if err := g.Validate(); err != nil {
-			return nil, fmt.Errorf("core: graph %s: %w", gen.Name(), err)
-		}
-		graphs[i] = g
-	}
-	return graphs, nil
-}
-
-// runTaskGraph replays one DAG through a pooled closed-loop simulation and
-// scores it against the contention-free critical path.
-func runTaskGraph(g *taskgraph.Graph, net *topology.Network, tab *routing.Table,
-	cfg noc.Config, sims *noc.SimPool) (TaskGraphResult, error) {
+// runTaskGraph replays one DAG through a pooled closed-loop simulation on
+// the fabric and scores it against the contention-free critical path.
+func (f fabric) runTaskGraph(g *taskgraph.Graph, cfg noc.Config, sims *noc.SimPool) (TaskGraphResult, error) {
 	pkts := make([]noc.Packet, len(g.Messages))
 	deps := make([][]int, len(g.Messages))
 	for i, m := range g.Messages {
 		pkts[i] = noc.Packet{Src: m.Src, Dst: m.Dst, SizeFlits: m.SizeFlits, Release: m.ComputeClks}
 		deps[i] = m.Deps
 	}
-	s, err := sims.Get(net, tab, cfg)
-	if err != nil {
-		return TaskGraphResult{}, err
-	}
-	if err := s.InjectClosedLoop(pkts, deps); err != nil {
-		return TaskGraphResult{}, err
-	}
-	st, err := s.Run()
-	sims.Put(s)
+	st, err := sims.Run(f.net, f.tab, cfg, func(s *noc.Sim) error { return s.InjectClosedLoop(pkts, deps) })
 	if err != nil {
 		return TaskGraphResult{}, err
 	}
@@ -207,12 +152,14 @@ func runTaskGraph(g *taskgraph.Graph, net *topology.Network, tab *routing.Table,
 	// (pinned by TestZeroLoadLatencyMatchesAnalytic) over the DAG: an
 	// uncongested serial schedule meets it exactly.
 	lb, err := g.CriticalPathClks(func(m taskgraph.Message) int64 {
-		return int64(tab.LatencyClks(m.Src, m.Dst, cfg.PipelineClks) + m.SizeFlits - 1)
+		return int64(f.tab.LatencyClks(m.Src, m.Dst, cfg.PipelineClks) + m.SizeFlits - 1)
 	})
 	if err != nil {
 		return TaskGraphResult{}, err
 	}
 	res := TaskGraphResult{
+		Kind:           f.kind,
+		Point:          f.point,
 		Graph:          g.Name,
 		Messages:       len(g.Messages),
 		TotalFlits:     g.TotalFlits(),

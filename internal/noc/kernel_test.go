@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -293,6 +294,64 @@ func TestSimPoolReusesInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	nilPool.Put(d) // must not panic
+}
+
+// TestSimPoolRunReturnsSimOnLoadFailure: a load that fails midway (with a
+// packet already queued) still hands its Sim back — the next Get reuses
+// that instance, and its run is bit-identical to a fresh Sim's. A run
+// that fails to drain reports the aborted run's Stats with ErrSaturated.
+func TestSimPoolRunReturnsSimOnLoadFailure(t *testing.T) {
+	net, tab := smallMesh(t, 4, 4, 0)
+	cfg := DefaultConfig()
+	pool := NewSimPool()
+	boom := errors.New("load failed")
+	var failed *Sim
+	if _, err := pool.Run(net, tab, cfg, func(s *Sim) error {
+		failed = s
+		if err := s.Inject(Packet{Src: 0, Dst: 15, SizeFlits: 4, Release: 0}); err != nil {
+			return err
+		}
+		return boom
+	}); !errors.Is(err, boom) {
+		t.Fatalf("Run error = %v, want the load's error", err)
+	}
+	reused, err := pool.Get(net, tab, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reused != failed {
+		t.Fatal("the Sim of a failed load was not returned to the pool")
+	}
+	pkts := bernoulliPackets(t, net, "uniform", 0.25, 7)
+	if err := reused.InjectAll(pkts); err != nil {
+		t.Fatal(err)
+	}
+	got, err := reused.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := newSim(t, net, tab)
+	if err := fresh.InjectAll(pkts); err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("reused Sim diverges from a fresh one:\nfresh:  %+v\nreused: %+v", want, got)
+	}
+
+	cfg.MaxCycles = 50
+	st, err := pool.Run(net, tab, cfg, func(s *Sim) error {
+		return s.InjectAll(bernoulliPackets(t, net, "uniform", 0.9, 8))
+	})
+	if !errors.Is(err, ErrSaturated) {
+		t.Fatalf("overload error = %v, want ErrSaturated", err)
+	}
+	if st.Cycles != 50 || st.FlitsInjected == 0 {
+		t.Errorf("saturated run lost its partial Stats: cycles %d, flits injected %d", st.Cycles, st.FlitsInjected)
+	}
 }
 
 // TestLoadLatencyCurvePooledMatchesUnpooled: simulator reuse must not

@@ -70,3 +70,20 @@ func (p *SimPool) Put(s *Sim) {
 	p.free[key] = append(p.free[key], s)
 	p.mu.Unlock()
 }
+
+// Run is one pooled simulation: it draws a simulator for the triple, lets
+// load inject the workload (and attach observers or a fault profile),
+// runs it, and returns the simulator to the pool on every path — a load
+// that fails midway hands back a Sim the next Get resets like any other.
+// A run that fails to drain returns its Stats with ErrSaturated.
+func (p *SimPool) Run(net *topology.Network, tab *routing.Table, cfg Config, load func(*Sim) error) (Stats, error) {
+	s, err := p.Get(net, tab, cfg)
+	if err != nil {
+		return Stats{}, err
+	}
+	defer p.Put(s)
+	if err := load(s); err != nil {
+		return Stats{}, err
+	}
+	return s.Run()
+}

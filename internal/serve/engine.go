@@ -47,8 +47,8 @@ type Config struct {
 	Options core.Options
 	// Sweep shapes every evaluation (Bernoulli workload, simulator
 	// configuration); Rates is unused — each query carries its own load.
-	// The zero value selects core.DefaultEnergySweep.
-	Sweep core.EnergySweepConfig
+	// The zero value selects core.DefaultPatternSweep.
+	Sweep core.PatternSweepConfig
 	// Workers sizes the evaluation pool a batch fans out on
 	// (0 = GOMAXPROCS).
 	Workers int
@@ -69,7 +69,7 @@ type Config struct {
 func DefaultEngineConfig() Config {
 	return Config{
 		Options:      core.DefaultOptions(),
-		Sweep:        core.DefaultEnergySweep(),
+		Sweep:        core.DefaultPatternSweep(),
 		MaxBatch:     DefaultMaxBatch,
 		QueueDepth:   DefaultQueueDepth,
 		MaxNodes:     DefaultMaxNodes,
@@ -85,7 +85,7 @@ func (c Config) withDefaults() Config {
 		c.Options = core.DefaultOptions()
 	}
 	if c.Sweep.Workload.SizeFlits == 0 && c.Sweep.Workload.Cycles == 0 {
-		c.Sweep = core.DefaultEnergySweep()
+		c.Sweep = core.DefaultPatternSweep()
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = DefaultMaxBatch

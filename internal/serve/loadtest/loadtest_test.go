@@ -10,7 +10,7 @@ import (
 
 func fastEngine(t *testing.T) *serve.Engine {
 	t.Helper()
-	sc := core.DefaultEnergySweep()
+	sc := core.DefaultPatternSweep()
 	sc.Workload.Cycles = 400
 	sc.NoC.MaxCycles = 20000
 	e := serve.NewEngine(serve.Config{Sweep: sc, Workers: 2})
@@ -48,7 +48,7 @@ func TestRunReportsRateAndHits(t *testing.T) {
 // — cycling the 12-query mix through 6 slots evicts on every round — yet
 // every query still answers and the cache never exceeds its bound.
 func TestRunBoundedCache(t *testing.T) {
-	sc := core.DefaultEnergySweep()
+	sc := core.DefaultPatternSweep()
 	sc.Workload.Cycles = 400
 	sc.NoC.MaxCycles = 20000
 	e := serve.NewEngine(serve.Config{Sweep: sc, Workers: 2, CacheEntries: 6})

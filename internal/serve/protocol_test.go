@@ -20,8 +20,8 @@ var update = flag.Bool("update", false, "rewrite the golden protocol files with 
 
 // testSweep keeps golden and engine tests in the sub-second range: a
 // short Bernoulli horizon and a tight drain cap on tiny grids.
-func testSweep() core.EnergySweepConfig {
-	sc := core.DefaultEnergySweep()
+func testSweep() core.PatternSweepConfig {
+	sc := core.DefaultPatternSweep()
 	sc.Workload.Cycles = 400
 	sc.NoC.MaxCycles = 20000
 	return sc
