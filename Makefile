@@ -61,24 +61,27 @@ fmt-check:
 	fi
 
 bench:
-	$(GO) test -bench=. -benchmem .
+	$(GO) test -bench=. -benchmem -cpu=1 .
 
-# The pinned baseline is a -benchtime=1x run: timings from a single
-# iteration are noise, but allocs/op is deterministic at 1x, which is what
-# bench-compare and the CI bench-smoke job gate on. Refresh after a
-# deliberate perf change with: make bench-baseline
+# The pinned baseline is a -benchtime=1x -cpu=1 run: timings from a single
+# iteration are noise, but allocs/op is deterministic at 1x on one
+# GOMAXPROCS (pooled sweeps build one simulator per worker, so allocs grow
+# with the CPU count), which is what bench-compare and the CI bench-smoke
+# job gate on. Refresh after a deliberate perf change with:
+# make bench-baseline
 bench-baseline:
-	$(GO) test -bench=. -benchtime=1x -benchmem . > BENCH_baseline.txt
+	$(GO) test -bench=. -benchtime=1x -benchmem -cpu=1 . > BENCH_baseline.txt
 	@cat BENCH_baseline.txt
 
 # One-iteration benchmark run diffed against the pinned baseline
 # (benchstat-style, self-contained — see cmd/hyppi-benchcmp). allocs/op
 # regressions beyond 1% fail (worker pools add a few allocs of scheduling
 # jitter; a real regression is orders of magnitude larger); timings are
-# informational. The JSON comparison lands in BENCH_scale.json for
-# dashboards and CI artifacts.
+# informational. Both runs are pinned to -cpu=1, and hyppi-benchcmp
+# refuses to compare runs at different GOMAXPROCS. The JSON comparison
+# lands in BENCH_scale.json for dashboards and CI artifacts.
 bench-compare:
-	$(GO) test -bench=. -benchtime=1x -benchmem . > $(BENCH_OUT) || { cat $(BENCH_OUT); exit 1; }
+	$(GO) test -bench=. -benchtime=1x -benchmem -cpu=1 . > $(BENCH_OUT) || { cat $(BENCH_OUT); exit 1; }
 	@cat $(BENCH_OUT)
 	$(GO) run ./cmd/hyppi-benchcmp -fail-allocs 1 -json BENCH_scale.json BENCH_baseline.txt $(BENCH_OUT)
 

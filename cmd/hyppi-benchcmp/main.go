@@ -16,15 +16,22 @@
 // Without -threshold the exit status is always 0 for timings (single-run
 // benchmark numbers are noisy; the CI smoke job runs at -benchtime=1x and
 // only wants the comparison rendered, not enforced). Allocation counts are
-// deterministic at -benchtime=1x, so -fail-allocs gates them exactly: any
-// allocs/op increase beyond the given percentage fails, and 0 tolerates
-// none. -json writes the machine-readable comparison (every benchmark ×
+// deterministic at -benchtime=1x and a fixed GOMAXPROCS, so -fail-allocs
+// gates them exactly: any allocs/op increase beyond the given percentage
+// fails, and 0 tolerates none. -json writes the machine-readable comparison (every benchmark ×
 // metric row with its delta) for dashboards and artifact diffing.
+//
+// Both files must come from runs at the same GOMAXPROCS (the -N name
+// suffix, absent at 1): pooled sweeps build one simulator per worker, so
+// allocs/op grows with the CPU count and a cross-count comparison would
+// gate noise. A mismatch exits 2 with errProcsMismatch; the make targets
+// pin -cpu=1.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -40,17 +47,24 @@ type metrics struct {
 	order  []string
 }
 
+// errProcsMismatch reports benchmark runs at different GOMAXPROCS.
+var errProcsMismatch = errors.New("GOMAXPROCS differ")
+
 // parseFile reads `go test -bench` output: lines of the form
 //
 //	BenchmarkName[-P]  <iters>  <value> <unit>  <value> <unit> ...
-func parseFile(path string) (map[string]*metrics, []string, error) {
+//
+// It also returns the run's GOMAXPROCS P (1 when no line carries a
+// suffix) and fails with errProcsMismatch when the lines disagree.
+func parseFile(path string) (map[string]*metrics, []string, int, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	defer f.Close()
 	out := make(map[string]*metrics)
 	var names []string
+	procs := 0
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -62,11 +76,14 @@ func parseFile(path string) (map[string]*metrics, []string, error) {
 		if err != nil {
 			continue
 		}
-		name := fields[0]
-		// Strip the -GOMAXPROCS suffix so runs from machines with
-		// different core counts line up.
-		if p := guessProcs(name); p > 0 {
-			name = strings.TrimSuffix(name, fmt.Sprintf("-%d", p))
+		name, p := fields[0], 1
+		if g := guessProcs(name); g > 0 {
+			name, p = strings.TrimSuffix(name, fmt.Sprintf("-%d", g)), g
+		}
+		if procs == 0 {
+			procs = p
+		} else if p != procs {
+			return nil, nil, 0, fmt.Errorf("%s: %w: lines ran at %d and %d", path, errProcsMismatch, procs, p)
 		}
 		m := &metrics{iters: iters, values: make(map[string]float64)}
 		for i := 2; i+1 < len(fields); i += 2 {
@@ -85,7 +102,7 @@ func parseFile(path string) (map[string]*metrics, []string, error) {
 		}
 		out[name] = m
 	}
-	return out, names, sc.Err()
+	return out, names, max(procs, 1), sc.Err()
 }
 
 // guessProcs extracts the trailing -P GOMAXPROCS suffix, or 0 if absent.
@@ -155,7 +172,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	oldM, oldNames, err := parseFile(flag.Arg(0))
+	oldM, oldNames, oldProcs, err := parseFile(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hyppi-benchcmp:", err)
 		os.Exit(2)
@@ -171,9 +188,14 @@ func main() {
 		return
 	}
 
-	newM, newNames, err := parseFile(flag.Arg(1))
+	newM, newNames, newProcs, err := parseFile(flag.Arg(1))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hyppi-benchcmp:", err)
+		os.Exit(2)
+	}
+	if oldProcs != newProcs {
+		fmt.Fprintf(os.Stderr, "hyppi-benchcmp: %v: %s ran at %d, %s at %d (rerun with -cpu=%d)\n",
+			errProcsMismatch, flag.Arg(0), oldProcs, flag.Arg(1), newProcs, oldProcs)
 		os.Exit(2)
 	}
 

@@ -16,29 +16,26 @@
 //	hyppi-explore -cpuprofile cpu.out -memprofile mem.out
 //	hyppi-explore -blockprofile block.out -mutexprofile mutex.out
 //
-// With -patterns, the analytic exploration is followed by a
-// cycle-accurate synthetic-pattern saturation sweep (the -grid geometry,
-// default 8×8; larger grids stay interactive because routing, traffic and
-// the kernel are all O(n) in nodes) comparing the plain electronic mesh
-// against the headline E + HyPPI express@3 hybrid for the named registry
-// patterns, reporting each pattern's latency-knee saturation throughput.
+// With -patterns, the analytic exploration is followed by the
+// cycle-accurate open-loop load sweep (the -grid geometry, default 8×8;
+// larger grids stay interactive because routing, traffic and the kernel
+// are all O(n) in nodes) of the named registry patterns, comparing the
+// plain electronic mesh against the headline E + HyPPI express@3 hybrid
+// and reporting each pattern's latency-knee saturation throughput.
 //
-// With -energy, the analytic exploration is followed by a measured
-// latency–energy sweep (8×8 grid, plain electronic mesh versus electronic
-// and HyPPI express hybrids) over the -patterns list (default
-// uniform,tornado): every drained point is priced by the activity-based
-// energy subsystem — measured fJ/bit and simulated CLEAR — and each
-// pattern's latency–energy Pareto frontier is printed. Combined with
-// -topology, one plain electronic fabric per selected kind competes
-// instead of the express hybrids. The analytic path *estimates* power
-// from injection rates; -energy *measures* it from simulator activity
-// counters.
+// -energy prices the same runs (the -patterns list defaults to
+// uniform,tornado) with the activity-based energy subsystem and adds the
+// E + Electronic express@3 hybrid: every drained point reports measured
+// fJ/bit and simulated CLEAR, and each pattern's latency–energy Pareto
+// frontier is printed. The analytic path *estimates* power from injection
+// rates; -energy *measures* it from simulator activity counters.
 //
 // With -topology, the mesh exploration is followed by a cross-topology
 // comparison of the named registry kinds (see internal/topology): an
-// analytic table of plain electronic and HyPPI fabrics per kind, and —
-// when -patterns is also given — the full topology × pattern × load
-// saturation matrix on the worker pool instead of the mesh-only sweep.
+// analytic table of plain electronic and HyPPI fabrics per kind. Unless
+// the only kind is the mesh, the load sweep then runs the full topology ×
+// pattern × load matrix, one plain electronic fabric per kind, instead of
+// the express hybrids.
 //
 // Design points are evaluated concurrently on a bounded worker pool
 // (-workers 0 sizes it to GOMAXPROCS); results are identical to a serial
@@ -194,9 +191,9 @@ func run() int {
 			headline/plain)
 	}
 
+	var kinds []topology.Kind
 	if *topoFlag != "" {
-		kinds, err := topology.ParseKinds(*topoFlag)
-		if err != nil {
+		if kinds, err = topology.ParseKinds(*topoFlag); err != nil {
 			fmt.Fprintln(os.Stderr, "hyppi-explore:", err)
 			return 1
 		}
@@ -204,29 +201,9 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "hyppi-explore:", err)
 			return 1
 		}
-		if *patterns != "" {
-			if err := runTopologyPatternSweep(kinds, *patterns, o, simW, simH, *workers); err != nil {
-				fmt.Fprintln(os.Stderr, "hyppi-explore:", err)
-				return 1
-			}
-		}
-		if *energyFlag {
-			if err := runEnergySweep(kinds, *patterns, o, simW, simH, *workers); err != nil {
-				fmt.Fprintln(os.Stderr, "hyppi-explore:", err)
-				return 1
-			}
-		}
-		return 0
 	}
-
-	if *patterns != "" && !*energyFlag {
-		if err := runPatternSweep(*patterns, o, simW, simH, *workers); err != nil {
-			fmt.Fprintln(os.Stderr, "hyppi-explore:", err)
-			return 1
-		}
-	}
-	if *energyFlag {
-		if err := runEnergySweep(nil, *patterns, o, simW, simH, *workers); err != nil {
+	if *patterns != "" || *energyFlag {
+		if err := runLoadSweep(kinds, *patterns, *energyFlag, o, simW, simH, *workers); err != nil {
 			fmt.Fprintln(os.Stderr, "hyppi-explore:", err)
 			return 1
 		}
@@ -234,14 +211,16 @@ func run() int {
 	return 0
 }
 
-// runEnergySweep follows the analytic exploration with the measured
-// latency–energy matrix on an 8×8 grid, priced per drained point by the
-// activity-based energy subsystem with the per-pattern Pareto frontier.
-// On the mesh (nil or {mesh} kinds) the plain electronic mesh competes
-// against the electronic and HyPPI express@3 hybrids; with explicit
-// non-mesh kinds one plain electronic fabric per kind competes instead
-// (non-mesh fabrics take no express channels).
-func runEnergySweep(kinds []topology.Kind, spec string, o core.Options, simW, simH, workers int) error {
+// runLoadSweep follows the analytic exploration with the cycle-accurate
+// open-loop load sweep on the simW×simH grid and prints each pattern's
+// saturation summary. On the mesh (nil or {mesh} kinds) the plain
+// electronic mesh competes against the E + HyPPI express@3 hybrid;
+// otherwise one plain electronic fabric per kind competes (non-mesh
+// fabrics take no express channels). Priced, the same runs also report
+// measured fJ/bit and simulated CLEAR per drained point, with the
+// E + Electronic express@3 hybrid added on the mesh and each pattern's
+// latency–energy Pareto frontier.
+func runLoadSweep(kinds []topology.Kind, spec string, priced bool, o core.Options, simW, simH, workers int) error {
 	if spec == "" {
 		spec = "uniform,tornado"
 	}
@@ -254,21 +233,34 @@ func runEnergySweep(kinds []topology.Kind, spec string, o core.Options, simW, si
 	if len(kinds) == 0 {
 		kinds = []topology.Kind{topology.Mesh}
 	}
-	points := []core.DesignPoint{
-		{Base: tech.Electronic, Express: tech.Electronic, Hops: 0},
-	}
+	points := []core.DesignPoint{{Base: tech.Electronic, Express: tech.Electronic}}
 	if meshOnly {
-		points = append(points,
-			core.DesignPoint{Base: tech.Electronic, Express: tech.Electronic, Hops: 3},
-			core.DesignPoint{Base: tech.Electronic, Express: tech.HyPPI, Hops: 3})
+		if priced {
+			points = append(points, core.DesignPoint{Base: tech.Electronic, Express: tech.Electronic, Hops: 3})
+		}
+		points = append(points, core.DesignPoint{Base: tech.Electronic, Express: tech.HyPPI, Hops: 3})
 	}
 	sc := core.DefaultPatternSweep()
-	results, err := core.EnergySweep(context.Background(), kinds,
-		points, pats, sc, o, runner.Config{Workers: workers})
+	pool := runner.Config{Workers: workers}
+	var results []core.PatternSweepResult
+	switch {
+	case priced:
+		results, err = core.EnergySweep(context.Background(), kinds, points, pats, sc, o, pool)
+	case meshOnly:
+		results, err = core.PatternSweep(context.Background(), points, pats, sc, o, pool)
+	default:
+		results, err = core.TopologyPatternSweep(context.Background(), kinds, pats, sc, o, pool)
+	}
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nMeasured latency–energy sweep (%d×%d, cycle-accurate, rates %v)\n", simW, simH, sc.Rates)
+	fmt.Printf("\nCycle-accurate load sweep (%d×%d, rates %v)\n", simW, simH, sc.Rates)
+	fmt.Println("latency-knee rule: saturation = lowest rate with avg > 3x zero-load, or no drain")
+	fmt.Print(report.SaturationTable(results))
+	if !priced {
+		return nil
+	}
+	fmt.Println("\nMeasured latency–energy per drained rate")
 	fmt.Println("fJ/bit = measured activity energy + static power integrated over the run;")
 	fmt.Println("'*' marks the per-pattern latency–energy Pareto frontier")
 	fmt.Print(report.EnergyTable(results))
@@ -293,52 +285,5 @@ func runKindComparison(kinds []topology.Kind, o core.Options, workers int) error
 	fmt.Printf("\nCross-topology comparison (%dx%d, plain fabrics)\n",
 		o.Topology.Width, o.Topology.Height)
 	fmt.Print(report.KindComparisonTable(results))
-	return nil
-}
-
-// runTopologyPatternSweep runs the full topology × pattern × load matrix
-// with the cycle-accurate simulator on an 8×8 grid, one plain electronic
-// fabric per kind.
-func runTopologyPatternSweep(kinds []topology.Kind, spec string, o core.Options, simW, simH, workers int) error {
-	pats, err := traffic.ParsePatterns(spec)
-	if err != nil {
-		return err
-	}
-	o.Topology.Width, o.Topology.Height = simW, simH
-	sc := core.DefaultPatternSweep()
-	results, err := core.TopologyPatternSweep(context.Background(), kinds, pats, sc, o,
-		runner.Config{Workers: workers})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nTopology × pattern saturation sweep (%d×%d, cycle-accurate, rates %v)\n", simW, simH, sc.Rates)
-	fmt.Println("latency-knee rule: saturation = lowest rate with avg > 3x zero-load, or no drain")
-	fmt.Print(report.SaturationTable(results))
-	return nil
-}
-
-// runPatternSweep follows the analytic exploration with a cycle-accurate
-// saturation sweep of the named registry patterns on an 8×8 grid,
-// comparing the plain electronic mesh against the paper's headline
-// E + HyPPI express@3 hybrid.
-func runPatternSweep(spec string, o core.Options, simW, simH, workers int) error {
-	pats, err := traffic.ParsePatterns(spec)
-	if err != nil {
-		return err
-	}
-	o.Topology.Width, o.Topology.Height = simW, simH
-	points := []core.DesignPoint{
-		{Base: tech.Electronic, Express: tech.Electronic, Hops: 0},
-		{Base: tech.Electronic, Express: tech.HyPPI, Hops: 3},
-	}
-	sc := core.DefaultPatternSweep()
-	results, err := core.PatternSweep(context.Background(), points, pats, sc, o,
-		runner.Config{Workers: workers})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nSynthetic-pattern saturation sweep (%d×%d, cycle-accurate, rates %v)\n", simW, simH, sc.Rates)
-	fmt.Println("latency-knee rule: saturation = lowest rate with avg > 3x zero-load, or no drain")
-	fmt.Print(report.SaturationTable(results))
 	return nil
 }

@@ -11,7 +11,7 @@
 //	hyppi-sim -pattern tornado [-express HyPPI]
 //	hyppi-sim -pattern all -topology all
 //	hyppi-sim -pattern uniform -grid 64x64
-//	hyppi-sim -pattern tornado -energy
+//	hyppi-sim -pattern tornado -energy [-csv]
 //	hyppi-sim -pattern uniform -faults
 //	hyppi-sim -pattern uniform -faults -variant modetector,hybrid5x5 -csv
 //	hyppi-sim -taskgraph ring-allreduce [-express HyPPI]
@@ -21,17 +21,20 @@
 //	hyppi-sim -cpuprofile cpu.out -memprofile mem.out
 //	hyppi-sim -blockprofile block.out -mutexprofile mutex.out
 //
-// With -pattern, hyppi-sim runs a synthetic traffic saturation sweep
-// instead of traces: the named registry pattern (or "all") is swept over
-// offered load on the -grid geometry (default 8×8; 64×64 and beyond stay
+// With -pattern, hyppi-sim runs the open-loop load sweep instead of
+// traces: the named registry pattern (or "all") is swept over offered
+// load on the -grid geometry (default 8×8; 64×64 and beyond stay
 // interactive — routing, traffic and the kernel are all O(n) in nodes),
-// mesh versus express hybrids, and the latency-knee saturation throughput
-// is reported per configuration.
+// and each configuration's load-latency curve and latency-knee saturation
+// throughput are reported. On the mesh the express hop ladder competes;
+// -topology sweeps one plain fabric per kind.
 //
-// Adding -energy prices every drained point of that sweep with the
-// activity-based energy subsystem (internal/energy): measured fJ/bit, the
-// simulated CLEAR, and the latency–energy Pareto frontier across the
-// competing design points of each (topology, pattern) scenario.
+// Adding -energy prices the same runs with the activity-based energy
+// subsystem (internal/energy): every drained point also reports measured
+// fJ/bit and the simulated CLEAR, and each (topology, pattern) scenario
+// gets its latency–energy Pareto frontier across the competing design
+// points. -csv emits the dataset (priced under -energy) instead of the
+// tables.
 //
 // With -taskgraph, hyppi-sim runs closed-loop operator graphs instead
 // of open-loop traffic: each registry generator (reduce trees, ring and
@@ -58,6 +61,10 @@
 // cell. -variant picks the dsent device-variant registry entries to
 // sweep; -csv emits the dataset instead of the aligned table.
 //
+// -trace-out, -faults and -energy each refine the -pattern sweep: they
+// need -pattern, exclude one another and -taskgraph, and a conflicting
+// combination fails with a named error instead of dropping a flag.
+//
 // -topology selects the topology kind (see internal/topology). In
 // pattern mode it takes a comma list or "all" and sweeps the full
 // topology × pattern × load matrix (plain fabrics, one per kind) instead
@@ -71,6 +78,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -94,21 +102,84 @@ import (
 // sweepHops are the express hop lengths of the Fig. 6 comparison.
 var sweepHops = []int{0, 3, 5, 15}
 
-// patternHopLadder is the pattern sweep's express hop ladder at a grid
-// width: plain mesh, the paper's short and mid hops, and the W−1 row
-// closure — dropping rungs the width cannot host and duplicates (e.g.
-// W = 4, where 3 already is the closure).
-func patternHopLadder(w int) []int {
-	var out []int
-	seen := map[int]bool{}
-	for _, h := range []int{0, 3, 5, w - 1} {
-		if h < 0 || h >= w || seen[h] {
-			continue
-		}
-		seen[h] = true
-		out = append(out, h)
+// sweepPoints is the design-point axis of the pattern, fault, task-graph
+// and telemetry sweeps. On the lone mesh kind it is the grid's analog of
+// the paper's hop ladder: the plain mesh, the short and mid hops, and the
+// W−1 row closure (the counterpart of hops=15 on the 16-wide mesh),
+// dropping rungs the width cannot host and duplicates (W = 4, where 3
+// already is the closure). Any other kind selection takes the plain
+// electronic fabric alone: non-mesh kinds carry no express channels.
+func sweepPoints(kinds []topology.Kind, width int, exTech tech.Technology) []core.DesignPoint {
+	points := []core.DesignPoint{{Base: tech.Electronic, Express: tech.Electronic}}
+	if !meshOnly(kinds) {
+		return points
 	}
-	return out
+	for _, h := range []int{3, 5, width - 1} {
+		if h > points[len(points)-1].Hops && h < width {
+			points = append(points, core.DesignPoint{Base: tech.Electronic, Express: exTech, Hops: h})
+		}
+	}
+	return points
+}
+
+// meshOnly reports whether the kind selection is the lone mesh, the one
+// kind with an express axis.
+func meshOnly(kinds []topology.Kind) bool {
+	return len(kinds) == 1 && kinds[0] == topology.Mesh
+}
+
+// mode is the experiment family one invocation runs.
+type mode int
+
+const (
+	modeTrace     mode = iota // NPB kernels or a trace file (no mode flag)
+	modeTaskGraph             // -taskgraph: closed-loop operator graphs
+	modeLoad                  // -pattern: the open-loop load sweep, priced under -energy
+	modeTelemetry             // -pattern -trace-out
+	modeFaults                // -pattern -faults
+)
+
+// errModeFlags names every rejected combination of mode flags.
+var errModeFlags = errors.New("incompatible mode flags")
+
+// modeFlags are the flags that select the experiment.
+type modeFlags struct {
+	pattern, taskgraph, traceOut string
+	faults, energy               bool
+}
+
+// chooseMode picks the experiment the mode flags select. -trace-out,
+// -faults and -energy each refine the -pattern sweep, so each needs
+// -pattern and they exclude one another; -taskgraph excludes -pattern.
+// Every other combination would silently drop a flag, so it fails with
+// errModeFlags.
+func chooseMode(f modeFlags) (mode, error) {
+	var refine []string
+	for _, r := range []struct {
+		name string
+		set  bool
+	}{{"-trace-out", f.traceOut != ""}, {"-faults", f.faults}, {"-energy", f.energy}} {
+		if r.set {
+			refine = append(refine, r.name)
+		}
+	}
+	switch {
+	case f.taskgraph != "" && f.pattern != "":
+		return 0, fmt.Errorf("%w: -taskgraph and -pattern are mutually exclusive", errModeFlags)
+	case len(refine) > 1:
+		return 0, fmt.Errorf("%w: %s are mutually exclusive", errModeFlags, strings.Join(refine, " and "))
+	case len(refine) == 1 && f.pattern == "":
+		return 0, fmt.Errorf("%w: %s needs -pattern", errModeFlags, refine[0])
+	case f.taskgraph != "":
+		return modeTaskGraph, nil
+	case f.traceOut != "":
+		return modeTelemetry, nil
+	case f.faults:
+		return modeFaults, nil
+	case f.pattern != "":
+		return modeLoad, nil
+	}
+	return modeTrace, nil
 }
 
 // Flag usage strings are package level so the usage test can assert every
@@ -181,7 +252,8 @@ func run() int {
 		"with -pattern: reliability sweep over a link-failure rate ladder "+
 			"(availability, drops, retransmissions, CLEAR degradation)")
 	variantFlag := flag.String("variant", "all", variantUsage)
-	csvOut := flag.Bool("csv", false, "with -faults: emit CSV instead of the aligned table")
+	csvOut := flag.Bool("csv", false, "with -pattern or -taskgraph: emit the dataset as CSV "+
+		"instead of the aligned tables (with -trace-out: the probe census)")
 	express := flag.String("express", "HyPPI", "express link technology: Electronic, Photonic or HyPPI")
 	scale := flag.Float64("scale", 1.0/16, "NPB volume scale")
 	iters := flag.Int("iterations", 0, "iteration count (0 = kernel default)")
@@ -222,60 +294,39 @@ func run() int {
 		return 1
 	}
 
-	if *taskgraphFlag != "" {
-		if *pattern != "" {
-			fmt.Fprintln(os.Stderr, "hyppi-sim: -taskgraph and -pattern are mutually exclusive")
-			return 1
-		}
-		w, h, err := topology.ParseGrid(*grid)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hyppi-sim:", err)
-			return 1
-		}
-		o.Topology.Width, o.Topology.Height = w, h
-		if err := runTaskGraphSweep(kinds, *taskgraphFlag, exTech, *csvOut, o, pool); err != nil {
-			fmt.Fprintln(os.Stderr, "hyppi-sim:", err)
-			return 1
-		}
-		return 0
+	m, err := chooseMode(modeFlags{pattern: *pattern, taskgraph: *taskgraphFlag, traceOut: *traceOut,
+		faults: *faultSweep, energy: *energySweep})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hyppi-sim:", err)
+		return 1
 	}
-	if *pattern != "" {
+	if m != modeTrace {
 		w, h, err := topology.ParseGrid(*grid)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "hyppi-sim:", err)
 			return 1
 		}
 		o.Topology.Width, o.Topology.Height = w, h
-		switch {
-		case *traceOut != "":
+		switch m {
+		case modeTaskGraph:
+			err = runTaskGraphSweep(kinds, *taskgraphFlag, exTech, *csvOut, o, pool)
+		case modeTelemetry:
 			if len(kinds) != 1 {
 				err = fmt.Errorf("-trace-out takes a single -topology kind")
 			} else {
 				err = runTelemetry(kinds[0], *pattern, *traceOut, *probeWindow,
 					exTech, *csvOut, o, pool)
 			}
-		case *faultSweep:
+		case modeFaults:
 			err = runFaultSweep(kinds, *pattern, *variantFlag, exTech, *csvOut, o, pool)
-		case *energySweep:
-			err = runEnergySweep(kinds, *pattern, exTech, o, pool)
-		case len(kinds) == 1 && kinds[0] == topology.Mesh:
-			err = runPatternSweep(*pattern, exTech, o, pool)
 		default:
-			err = runTopologySweep(kinds, *pattern, o, pool)
+			err = runLoadSweep(kinds, *pattern, exTech, *energySweep, *csvOut, o, pool)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "hyppi-sim:", err)
 			return 1
 		}
 		return 0
-	}
-	if *energySweep {
-		fmt.Fprintln(os.Stderr, "hyppi-sim: -energy needs -pattern (it prices the pattern sweep)")
-		return 1
-	}
-	if *faultSweep {
-		fmt.Fprintln(os.Stderr, "hyppi-sim: -faults needs -pattern (it degrades the pattern sweep)")
-		return 1
 	}
 
 	// Trace modes take a single kind; non-mesh kinds have no express
@@ -345,7 +396,7 @@ func run() int {
 			lat[i] = res.AvgLatencyClks
 			energy[i] = res.DynamicEnergyJ
 		}
-		best := lat[0] / min3(lat[1], lat[2], lat[3])
+		best := lat[0] / min(lat[1], lat[2], lat[3])
 		fmt.Printf("%-8s %-12.2f %-12.2f %-12.2f %-12.2f %.2fx\n",
 			k, lat[0], lat[1], lat[2], lat[3], best)
 		fmt.Printf("%-8s %-12s %-12s %-12s %-12s (dynamic energy, Table V style)\n",
@@ -355,38 +406,59 @@ func run() int {
 	return 0
 }
 
-// runEnergySweep prices the pattern sweep with the activity-based energy
-// subsystem: on the mesh the express hop ladder competes, on other (or
-// multiple) kinds one plain fabric per kind does. Each drained point
-// reports measured fJ/bit and the simulated CLEAR; each (topology,
-// pattern) scenario gets its latency–energy Pareto frontier.
-func runEnergySweep(kinds []topology.Kind, spec string, exTech tech.Technology,
+// runLoadSweep runs the open-loop load sweep of the named registry
+// patterns over offered load, printing each configuration's load-latency
+// curve and latency-knee saturation throughput (see
+// noc.DetectSaturation). On the lone mesh kind the express hop ladder
+// competes, otherwise one plain fabric per kind. Priced (-energy), the
+// same runs also report measured fJ/bit and the simulated CLEAR per
+// drained point, plus the latency–energy Pareto frontier of each
+// (topology, pattern) scenario. csvOut emits the dataset instead.
+func runLoadSweep(kinds []topology.Kind, spec string, exTech tech.Technology, priced, csvOut bool,
 	o core.Options, pool runner.Config) error {
 	patterns, err := traffic.ParsePatterns(spec)
 	if err != nil {
 		return err
 	}
-	var points []core.DesignPoint
-	if len(kinds) == 1 && kinds[0] == topology.Mesh {
-		// The grid's analog of the paper's hop ladder (W−1 = ring closure).
-		for _, hops := range patternHopLadder(o.Topology.Width) {
-			ex := exTech
-			if hops == 0 {
-				ex = tech.Electronic
-			}
-			points = append(points, core.DesignPoint{Base: tech.Electronic, Express: ex, Hops: hops})
-		}
-	} else {
-		// Non-mesh kinds take no express channels: plain fabric per kind.
-		points = []core.DesignPoint{{Base: tech.Electronic, Express: tech.Electronic, Hops: 0}}
-	}
+	points := sweepPoints(kinds, o.Topology.Width, exTech)
 	sc := core.DefaultPatternSweep()
-	results, err := core.EnergySweep(context.Background(), kinds, points, patterns, sc, o, pool)
+	var results []core.PatternSweepResult
+	switch {
+	case priced:
+		results, err = core.EnergySweep(context.Background(), kinds, points, patterns, sc, o, pool)
+	case meshOnly(kinds):
+		results, err = core.PatternSweep(context.Background(), points, patterns, sc, o, pool)
+	default:
+		results, err = core.TopologyPatternSweep(context.Background(), kinds, patterns, sc, o, pool)
+	}
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%d×%d measured latency–energy sweep, express = %v, rates = %v\n",
+	switch {
+	case csvOut && priced:
+		return report.WriteEnergySweep(os.Stdout, results)
+	case csvOut:
+		return report.WritePatternSweep(os.Stdout, results)
+	}
+	fmt.Printf("%d×%d load sweep, express = %v, rates = %v\n",
 		o.Topology.Width, o.Topology.Height, exTech, sc.Rates)
+	for _, r := range results {
+		fmt.Printf("\n%v / %s / %s\n", r.Kind, r.PointLabel(), r.Pattern)
+		for _, p := range r.Curve {
+			if p.Saturated {
+				fmt.Printf("  rate %-6.3g saturated (failed to drain)\n", p.InjectionRate)
+				continue
+			}
+			fmt.Printf("  rate %-6.3g avg %-8.1f p99 %.1f\n",
+				p.InjectionRate, p.AvgLatencyClks, p.P99LatencyClks)
+		}
+	}
+	fmt.Println("\nSaturation summary (latency-knee rule: avg > 3x zero-load, or no drain)")
+	fmt.Print(report.SaturationTable(results))
+	if !priced {
+		return nil
+	}
+	fmt.Println("\nMeasured latency–energy per drained rate")
 	fmt.Println("(fJ/bit = measured activity energy + static power integrated over the run;")
 	fmt.Println(" '*' marks the latency–energy Pareto frontier of the scenario)")
 	fmt.Print(report.EnergyTable(results))
@@ -411,20 +483,9 @@ func runFaultSweep(kinds []topology.Kind, spec, variantSpec string, exTech tech.
 	if err != nil {
 		return err
 	}
-	var points []core.DesignPoint
-	if len(kinds) == 1 && kinds[0] == topology.Mesh {
-		for _, hops := range patternHopLadder(o.Topology.Width) {
-			ex := exTech
-			if hops == 0 {
-				ex = tech.Electronic
-			}
-			points = append(points, core.DesignPoint{Base: tech.Electronic, Express: ex, Hops: hops})
-		}
-	} else {
-		points = []core.DesignPoint{{Base: tech.Electronic, Express: tech.Electronic, Hops: 0}}
-	}
 	sc := core.DefaultFaultSweep()
-	results, err := core.FaultSweep(context.Background(), kinds, points, variants, patterns, sc, o, pool)
+	results, err := core.FaultSweep(context.Background(), kinds, sweepPoints(kinds, o.Topology.Width, exTech),
+		variants, patterns, sc, o, pool)
 	if err != nil {
 		return err
 	}
@@ -452,15 +513,8 @@ func runTaskGraphSweep(kinds []topology.Kind, spec string, exTech tech.Technolog
 	}
 	sc := core.DefaultTaskGraphSweep()
 	var results []core.TaskGraphResult
-	if len(kinds) == 1 && kinds[0] == topology.Mesh {
-		var points []core.DesignPoint
-		for _, hops := range patternHopLadder(o.Topology.Width) {
-			ex := exTech
-			if hops == 0 {
-				ex = tech.Electronic
-			}
-			points = append(points, core.DesignPoint{Base: tech.Electronic, Express: ex, Hops: hops})
-		}
+	if meshOnly(kinds) {
+		points := sweepPoints(kinds, o.Topology.Width, exTech)
 		results, err = core.TaskGraphSweep(context.Background(), points, gens, sc, o, pool)
 	} else {
 		results, err = core.TopologyTaskGraphSweep(context.Background(), kinds, gens, sc, o, pool)
@@ -475,81 +529,6 @@ func runTaskGraphSweep(kinds []topology.Kind, spec string, exTech tech.Technolog
 		o.Topology.Width, o.Topology.Height, exTech, sc.Gen.SizeFlits, sc.Gen.ComputeClks)
 	fmt.Println("(bound = contention-free critical path; stretch = makespan/bound, 1.00 = never delayed)")
 	fmt.Print(report.TaskGraphTable(results))
-	return nil
-}
-
-// runTopologySweep sweeps the named registry patterns over offered load on
-// every selected topology kind (8×8 grid, plain electronic fabrics) — the
-// full topology × pattern × load matrix on the worker pool.
-func runTopologySweep(kinds []topology.Kind, spec string, o core.Options, pool runner.Config) error {
-	patterns, err := traffic.ParsePatterns(spec)
-	if err != nil {
-		return err
-	}
-	sc := core.DefaultPatternSweep()
-	results, err := core.TopologyPatternSweep(context.Background(), kinds, patterns, sc, o, pool)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%d×%d topology × pattern saturation sweep, rates = %v\n",
-		o.Topology.Width, o.Topology.Height, sc.Rates)
-	for _, r := range results {
-		fmt.Printf("\n%v / %s\n", r.Kind, r.Pattern)
-		for _, p := range r.Curve {
-			if p.Saturated {
-				fmt.Printf("  rate %-6.3g saturated (failed to drain)\n", p.InjectionRate)
-				continue
-			}
-			fmt.Printf("  rate %-6.3g avg %-8.1f p99 %.1f\n",
-				p.InjectionRate, p.AvgLatencyClks, p.P99LatencyClks)
-		}
-	}
-	fmt.Println("\nSaturation summary (latency-knee rule: avg > 3x zero-load, or no drain)")
-	fmt.Print(report.SaturationTable(results))
-	return nil
-}
-
-// runPatternSweep sweeps one registry pattern (or all of them) over
-// offered load on an 8×8 grid — the cycle-accurate scale the examples
-// use — for the plain electronic mesh and the express hybrids, printing
-// each configuration's load-latency curve and its latency-knee
-// saturation throughput (see noc.DetectSaturation).
-func runPatternSweep(spec string, exTech tech.Technology, o core.Options, pool runner.Config) error {
-	patterns, err := traffic.ParsePatterns(spec)
-	if err != nil {
-		return err
-	}
-	// The grid's analog of the paper's hop ladder: W−1 closes each row
-	// into a ring, the counterpart of hops=15 on the 16-wide mesh.
-	patternHops := patternHopLadder(o.Topology.Width)
-	points := make([]core.DesignPoint, 0, len(patternHops))
-	for _, hops := range patternHops {
-		ex := exTech
-		if hops == 0 {
-			ex = tech.Electronic // plain mesh: express tech is unused
-		}
-		points = append(points, core.DesignPoint{Base: tech.Electronic, Express: ex, Hops: hops})
-	}
-	sc := core.DefaultPatternSweep()
-	results, err := core.PatternSweep(context.Background(), points, patterns, sc, o, pool)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%d×%d pattern saturation sweep, express = %v, rates = %v\n",
-		o.Topology.Width, o.Topology.Height, exTech, sc.Rates)
-	for _, r := range results {
-		fmt.Printf("\n%v / %s\n", r.Point, r.Pattern)
-		for _, p := range r.Curve {
-			if p.Saturated {
-				fmt.Printf("  rate %-6.3g saturated (failed to drain)\n", p.InjectionRate)
-				continue
-			}
-			fmt.Printf("  rate %-6.3g avg %-8.1f p99 %.1f\n",
-				p.InjectionRate, p.AvgLatencyClks, p.P99LatencyClks)
-		}
-	}
-	fmt.Println("\nSaturation summary (latency-knee rule: avg > 3x zero-load, or no drain)")
-	fmt.Print(report.SaturationTable(results))
 	return nil
 }
 
@@ -570,18 +549,7 @@ func runTelemetry(kind topology.Kind, spec, traceOut string, probeWindow int64,
 	if probeWindow > 0 {
 		sc.Telemetry.ProbeWindowClks = probeWindow
 	}
-	var points []core.DesignPoint
-	if kind == topology.Mesh {
-		for _, hops := range patternHopLadder(o.Topology.Width) {
-			ex := exTech
-			if hops == 0 {
-				ex = tech.Electronic // plain mesh: express tech is unused
-			}
-			points = append(points, core.DesignPoint{Base: tech.Electronic, Express: ex, Hops: hops})
-		}
-	} else {
-		points = []core.DesignPoint{{Base: tech.Electronic, Express: tech.Electronic, Hops: 0}}
-	}
+	points := sweepPoints([]topology.Kind{kind}, o.Topology.Width, exTech)
 	results, err := core.TelemetrySweep(context.Background(), points, patterns, sc, o, pool)
 	if err != nil {
 		return err
@@ -630,17 +598,6 @@ func runTelemetry(kind topology.Kind, spec, traceOut string, probeWindow int64,
 	return nil
 }
 
-func min3(a, b, c float64) float64 {
-	m := a
-	if b < m {
-		m = b
-	}
-	if c < m {
-		m = c
-	}
-	return m
-}
-
 // runExternal replays a trace file on the selected topology's hop ladder
 // (mesh and hops=3/5/15 hybrids; plain fabric only for non-mesh kinds),
 // one concurrent simulation per hop length (the parsed events are only
@@ -661,6 +618,7 @@ func runExternal(path string, exTech tech.Technology, o core.Options, hops []int
 		dynamicJ float64
 		staticW  float64
 	}
+	sims := noc.NewSimPool()
 	results, err := runner.Map(context.Background(), len(hops), pool,
 		func(_ context.Context, i int) (hopResult, error) {
 			point := core.DesignPoint{Base: tech.Electronic, Express: exTech, Hops: hops[i]}
@@ -672,14 +630,8 @@ func runExternal(path string, exTech tech.Technology, o core.Options, hops []int
 			if err != nil {
 				return hopResult{}, err
 			}
-			sim, err := noc.New(net, tab, noc.DefaultConfig())
-			if err != nil {
-				return hopResult{}, err
-			}
-			if err := sim.InjectAll(packets); err != nil {
-				return hopResult{}, err
-			}
-			stats, err := sim.Run()
+			stats, err := sims.Run(net, tab, noc.DefaultConfig(),
+				func(s *noc.Sim) error { return s.InjectAll(packets) })
 			if err != nil {
 				return hopResult{}, err
 			}

@@ -75,7 +75,7 @@ func main() {
 	owned := map[key]int{}
 	total := map[string]int{}
 	for _, r := range results {
-		for _, p := range r.Points {
+		for _, p := range r.Energy {
 			if p.Pareto {
 				owned[key{r.Pattern, r.PointLabel()}]++
 				total[r.Pattern]++
@@ -98,25 +98,27 @@ func main() {
 	// drained rate nearest 0.1 flits/cycle rather than assuming the
 	// default ladder contains it exactly.
 	const midRate = 0.1
-	pick := func(pts []core.EnergyPoint) *core.EnergyPoint {
-		var best *core.EnergyPoint
-		for i := range pts {
-			p := &pts[i]
+	pick := func(r core.PatternSweepResult) *core.EnergyPoint {
+		best := -1
+		for i, p := range r.Curve {
 			if p.Saturated {
 				continue
 			}
-			if best == nil || abs(p.Rate-midRate) < abs(best.Rate-midRate) {
-				best = p
+			if best < 0 || abs(p.InjectionRate-midRate) < abs(r.Curve[best].InjectionRate-midRate) {
+				best = i
 			}
 		}
-		return best
+		if best < 0 {
+			return nil
+		}
+		return &r.Energy[best]
 	}
 	fmt.Printf("\ndynamic energy split near %v flits/cycle (uniform):\n", midRate)
 	for _, r := range results {
 		if r.Pattern != "uniform" {
 			continue
 		}
-		if p := pick(r.Points); p != nil {
+		if p := pick(r); p != nil {
 			d := p.Run.Dynamic
 			fmt.Printf("  %-40s links %s (E %s, HyPPI %s)  buffers %s  xbar %s  E/O+O/E %s\n",
 				r.PointLabel(),

@@ -16,7 +16,7 @@ import (
 
 // EvalCell is one serving-layer evaluation request: a single (topology
 // kind, geometry, design point, traffic source, offered load) sample of
-// the matrices PatternSweep and EnergySweep walk as cross products. A
+// the matrix the open-loop load sweep walks as a cross product. A
 // serving front end (internal/serve) coalesces heterogeneous queued
 // queries into one EvalCells call, so cells carry their own kind,
 // geometry and rate instead of sharing the sweep's axes.
@@ -183,19 +183,17 @@ func evalOneCell(c EvalCell, env *evalEnv, sc PatternSweepConfig, sims *noc.SimP
 		if !errors.Is(runErr, noc.ErrSaturated) {
 			return fail(runErr)
 		}
-		// Failure to drain is the saturation signal, exactly as in
-		// EnergySweep: the cell answers "saturated", it does not fail.
+		// Failure to drain is the saturation signal, exactly as in the
+		// load sweeps: the cell answers "saturated", it does not fail.
 		res.Saturated = true
 		return res
 	}
 	if c.Energy {
-		var err error
-		if res.Run, err = env.model.Price(st); err != nil {
+		ep, err := price(env.model, st, c.Rate)
+		if err != nil {
 			return fail(err)
 		}
-		if res.CLEAR, err = env.model.SimulatedCLEAR(st, c.Rate); err != nil {
-			return fail(err)
-		}
+		res.Run, res.CLEAR = ep.Run, ep.CLEAR
 	}
 	return res
 }

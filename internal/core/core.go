@@ -8,16 +8,22 @@
 //	RunTraceExperiment — Fig. 6, Table V (cycle-accurate NPB traces)
 //	AllOpticalRadar    — Fig. 8, Table VI (fully optical projections)
 //
-// The cycle-accurate sweeps beyond the paper (PatternSweep,
-// TopologyPatternSweep, EnergySweep, FaultSweep, TaskGraphSweep,
-// TopologyTaskGraphSweep, TelemetrySweep and the serving layer's
-// EvalCells) share one plumbing: the kind × design-point fabrics are
-// resolved through the Options' network cache before the batch fans out,
-// pattern matrices are generated and validated on each fabric, and every
-// simulation runs through noc.SimPool.Run on one batch-wide pool. Each
-// sweep schedules one runner job per (fabric, workload) cell and walks
-// its rate ladder serially inside the job. PatternSweep, EnergySweep and
-// EvalCells take the same PatternSweepConfig.
+// The cycle-accurate sweeps beyond the paper (the open-loop load sweep,
+// FaultSweep, TaskGraphSweep, TopologyTaskGraphSweep, TelemetrySweep and
+// the serving layer's EvalCells) share one plumbing: the kind ×
+// design-point fabrics are resolved through the Options' network cache
+// before the batch fans out, pattern matrices are generated and
+// validated on each fabric, and every simulation runs through
+// noc.SimPool.Run on one batch-wide pool. Each sweep schedules one runner
+// job per (fabric, workload) cell and walks its rate ladder serially
+// inside the job.
+//
+// The open-loop load sweep is one body with one row type,
+// PatternSweepResult: PatternSweep and TopologyPatternSweep run it
+// unpriced, and EnergySweep runs it priced, filling each row's Energy
+// from the same runs and marking the latency–energy Pareto frontier.
+// EvalCells prices its cells through the same helper, and all of them
+// take one PatternSweepConfig.
 //
 // Every experiment is deterministic given its configuration.
 package core

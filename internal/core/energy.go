@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/energy"
@@ -12,15 +11,10 @@ import (
 	"repro/internal/traffic"
 )
 
-// EnergyPoint is one (offered rate) sample of a latency–energy curve.
+// EnergyPoint is the pricing of one rate of a priced load sweep: what the
+// matching PatternSweepResult.Curve point (rate, saturation, latency)
+// does not already hold. A saturated rate carries no accounting.
 type EnergyPoint struct {
-	// Rate is the offered peak per-node injection rate in flits/cycle.
-	Rate float64
-	// Saturated marks rates whose run failed to drain within the cycle
-	// cap; such points carry no energy accounting.
-	Saturated bool
-	// AvgLatencyClks and P99LatencyClks summarize packet latency.
-	AvgLatencyClks, P99LatencyClks float64
 	// Run is the measured energy accounting (internal/energy).
 	Run energy.RunEnergy
 	// CLEAR is the simulated eq. 2 evaluation at this rate.
@@ -32,85 +26,20 @@ type EnergyPoint struct {
 	Pareto bool
 }
 
-// EnergySweepResult is one (topology kind, design point, pattern) cell of
-// an energy sweep: the measured latency–energy curve over the rate ladder.
-type EnergySweepResult struct {
-	Kind    topology.Kind
-	Point   DesignPoint
-	Pattern string
-	// StaticW and AreaM2 are the cell's network-level constants.
-	StaticW, AreaM2 float64
-	// Points holds one sample per swept rate, in rate order.
-	Points []EnergyPoint
-}
-
-// PointLabel renders the design point for tables (see
-// PatternSweepResult.PointLabel).
-func (r EnergySweepResult) PointLabel() string {
-	return PatternSweepResult{Kind: r.Kind, Point: r.Point}.PointLabel()
-}
-
-// EnergySweep runs the design-point × topology-kind × pattern × load
-// matrix with the cycle-accurate simulator and the measured energy
-// accounting: every (kind, point, pattern) cell walks the rate ladder
-// serially (the pool already fans out across cells), recycling simulators
-// through one batch-wide noc.SimPool, and prices each drained run with the
-// cell's energy.Model. Results come back kind-major, point-middle,
-// pattern-minor and are bit-identical for any worker count — each job is a
-// pure function of its index over read-only inputs, the same determinism
-// contract as Explore. After collection the latency–energy Pareto frontier
-// of every (kind, pattern) scenario is marked across its competing design
-// points. The first failure cancels the batch.
-//
-// Non-mesh kinds reject express design points at Build time; pass plain
-// (Hops = 0) points for kind-portable sweeps, exactly as with ExploreKinds.
+// EnergySweep is the priced load sweep: the kind × design point × pattern
+// × rate matrix of PatternSweep (same body, same kind-major,
+// point-middle, pattern-minor order and determinism contract), with every
+// drained rate priced by the fabric's energy.Model and, after collection,
+// the latency–energy Pareto frontier of every (kind, pattern) scenario
+// marked across its competing design points. Non-mesh kinds reject
+// express design points at Build time; pass plain (Hops = 0) points for
+// kind-portable sweeps, exactly as with ExploreKinds.
 func EnergySweep(ctx context.Context, kinds []topology.Kind, points []DesignPoint,
-	patterns []traffic.Pattern, sc PatternSweepConfig, o Options, pool runner.Config) ([]EnergySweepResult, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
+	patterns []traffic.Pattern, sc PatternSweepConfig, o Options, pool runner.Config) ([]PatternSweepResult, error) {
 	if len(kinds) == 0 || len(points) == 0 || len(patterns) == 0 {
 		return nil, fmt.Errorf("core: energy sweep needs kinds, points and patterns")
 	}
-	// Networks, tables and energy models depend only on (kind, point):
-	// resolve them once up front and share them read-only across the pool.
-	fabs, err := o.fabrics(kinds, points)
-	if err != nil {
-		return nil, err
-	}
-	models := make([]*energy.Model, len(fabs))
-	for i, f := range fabs {
-		if models[i], err = energy.NewModel(f.net, o.DSENT); err != nil {
-			return nil, fmt.Errorf("core: %v: %w", f, err)
-		}
-	}
-	sims := noc.NewSimPool()
-	results, err := runner.Map(ctx, len(fabs)*len(patterns), pool, func(ctx context.Context, i int) (EnergySweepResult, error) {
-		f, model, pat := fabs[i/len(patterns)], models[i/len(patterns)], patterns[i%len(patterns)]
-		base, err := patternBase(pat, f.net)
-		if err != nil {
-			return EnergySweepResult{}, fmt.Errorf("core: %v / %s: %w", f, pat.Name(), err)
-		}
-		res := EnergySweepResult{
-			Kind:    f.kind,
-			Point:   f.point,
-			Pattern: pat.Name(),
-			StaticW: model.StaticW(),
-			AreaM2:  model.AreaM2(),
-			Points:  make([]EnergyPoint, 0, len(sc.Rates)),
-		}
-		for _, rate := range sc.Rates {
-			if err := ctx.Err(); err != nil {
-				return EnergySweepResult{}, err
-			}
-			ep, err := energyPoint(f, model, base, rate, sc, sims)
-			if err != nil {
-				return EnergySweepResult{}, fmt.Errorf("core: %v / %s @ %v: %w", f, pat.Name(), rate, err)
-			}
-			res.Points = append(res.Points, ep)
-		}
-		return res, nil
-	})
+	results, err := patternSweep(ctx, kinds, points, patterns, true, sc, o, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -118,28 +47,20 @@ func EnergySweep(ctx context.Context, kinds []topology.Kind, points []DesignPoin
 	return results, nil
 }
 
-// energyPoint runs one offered-load sample and prices it. A run that fails
-// to drain is flagged Saturated rather than failing the sweep.
-func energyPoint(f fabric, model *energy.Model, base *traffic.Matrix, rate float64,
-	sc PatternSweepConfig, sims *noc.SimPool) (EnergyPoint, error) {
-	st, err := f.loadRun(base, rate, sc.Workload, sc.NoC, sims, nil)
-	ep := EnergyPoint{Rate: rate}
-	if errors.Is(err, noc.ErrSaturated) {
-		ep.Saturated = true
-		return ep, nil
-	}
+// price prices one drained run at its offered rate (0 for trace runs,
+// whose CLEAR falls back to the measured peak source rate): the measured
+// energy accounting and the simulated CLEAR. Both the priced sweep and
+// EvalCells price through it.
+func price(model *energy.Model, st noc.Stats, rate float64) (EnergyPoint, error) {
+	run, err := model.Price(st)
 	if err != nil {
 		return EnergyPoint{}, err
 	}
-	ep.AvgLatencyClks = st.AvgPacketLatencyClks
-	ep.P99LatencyClks = st.P99PacketLatencyClks
-	if ep.Run, err = model.Price(st); err != nil {
+	cl, err := model.SimulatedCLEAR(st, rate)
+	if err != nil {
 		return EnergyPoint{}, err
 	}
-	if ep.CLEAR, err = model.SimulatedCLEAR(st, rate); err != nil {
-		return EnergyPoint{}, err
-	}
-	return ep, nil
+	return EnergyPoint{Run: run, CLEAR: cl}, nil
 }
 
 // markParetoFrontiers marks, for every (kind, pattern) scenario, the
@@ -148,34 +69,35 @@ func energyPoint(f fabric, model *energy.Model, base *traffic.Matrix, rate float
 // a sample is dominated when another non-saturated sample is ≤ on both
 // axes and < on at least one, so duplicated optima all stay marked. The
 // pass is a deterministic function of the collected results.
-func markParetoFrontiers(results []EnergySweepResult) {
+func markParetoFrontiers(results []PatternSweepResult) {
 	type scenario struct {
 		kind    topology.Kind
 		pattern string
 	}
-	byScenario := map[scenario][][2]int{} // (result index, point index)
-	for ri := range results {
-		key := scenario{results[ri].Kind, results[ri].Pattern}
-		for pi := range results[ri].Points {
-			p := &results[ri].Points[pi]
-			if !p.Saturated && p.Run.FJPerBit > 0 {
+	byScenario := map[scenario][][2]int{} // (result index, rate index)
+	for ri, r := range results {
+		key := scenario{r.Kind, r.Pattern}
+		for pi, e := range r.Energy {
+			if !r.Curve[pi].Saturated && e.Run.FJPerBit > 0 {
 				byScenario[key] = append(byScenario[key], [2]int{ri, pi})
 			}
 		}
 	}
+	at := func(m [2]int) (lat, fj float64) {
+		return results[m[0]].Curve[m[1]].AvgLatencyClks, results[m[0]].Energy[m[1]].Run.FJPerBit
+	}
 	for _, members := range byScenario {
 		for _, m := range members {
-			a := &results[m[0]].Points[m[1]]
+			aLat, aFJ := at(m)
 			dominated := false
 			for _, o := range members {
-				b := &results[o[0]].Points[o[1]]
-				if b.AvgLatencyClks <= a.AvgLatencyClks && b.Run.FJPerBit <= a.Run.FJPerBit &&
-					(b.AvgLatencyClks < a.AvgLatencyClks || b.Run.FJPerBit < a.Run.FJPerBit) {
+				bLat, bFJ := at(o)
+				if bLat <= aLat && bFJ <= aFJ && (bLat < aLat || bFJ < aFJ) {
 					dominated = true
 					break
 				}
 			}
-			a.Pareto = !dominated
+			results[m[0]].Energy[m[1]].Pareto = !dominated
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/runner"
@@ -10,6 +11,8 @@ import (
 	"repro/internal/units"
 )
 
+// TestEnergySweepShape also pins the merged row: pricing adds Energy to
+// the unpriced PatternSweep row and changes nothing else it holds.
 func TestEnergySweepShape(t *testing.T) {
 	points, pats, sc, o := sweepFixture(t)
 	kinds := []topology.Kind{topology.Mesh}
@@ -17,8 +20,13 @@ func TestEnergySweepShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(kinds)*len(points)*len(pats) {
-		t.Fatalf("%d results, want %d", len(results), len(kinds)*len(points)*len(pats))
+	unpriced, err := PatternSweep(context.Background(), points, pats, sc, o, runner.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != len(kinds)*len(points)*len(pats) || len(unpriced) != len(results) {
+		t.Fatalf("%d priced and %d unpriced results, want %d",
+			len(results), len(unpriced), len(kinds)*len(points)*len(pats))
 	}
 	for i, r := range results {
 		wantPoint, wantPat := points[(i/len(pats))%len(points)], pats[i%len(pats)]
@@ -26,17 +34,24 @@ func TestEnergySweepShape(t *testing.T) {
 			t.Errorf("result %d is %v/%v/%s, want mesh/%v/%s",
 				i, r.Kind, r.Point, r.Pattern, wantPoint, wantPat.Name())
 		}
-		if len(r.Points) != len(sc.Rates) {
-			t.Fatalf("result %d has %d samples, want %d", i, len(r.Points), len(sc.Rates))
+		u := unpriced[i]
+		if !reflect.DeepEqual(r.Curve, u.Curve) || r.SaturationRate != u.SaturationRate ||
+			r.Saturates != u.Saturates || r.AtFloor != u.AtFloor {
+			t.Errorf("result %d: priced row's curve or knee differs from PatternSweep's:\npriced:   %+v\nunpriced: %+v",
+				i, r, u)
+		}
+		if u.Energy != nil || u.StaticW != 0 {
+			t.Errorf("unpriced result %d carries pricing: %+v", i, u)
+		}
+		if len(r.Energy) != len(sc.Rates) || len(r.Curve) != len(sc.Rates) {
+			t.Fatalf("result %d has %d samples and %d curve points, want %d",
+				i, len(r.Energy), len(r.Curve), len(sc.Rates))
 		}
 		if r.StaticW <= 0 || r.AreaM2 <= 0 {
 			t.Errorf("result %d constants static %v area %v", i, r.StaticW, r.AreaM2)
 		}
-		for pi, p := range r.Points {
-			if p.Rate != sc.Rates[pi] {
-				t.Errorf("result %d sample %d rate %v, want %v", i, pi, p.Rate, sc.Rates[pi])
-			}
-			if p.Saturated {
+		for pi, p := range r.Energy {
+			if r.Curve[pi].Saturated {
 				if p.Pareto {
 					t.Errorf("result %d sample %d: saturated point on the frontier", i, pi)
 				}
@@ -72,8 +87,8 @@ func TestEnergySweepAcrossKinds(t *testing.T) {
 	// rate it must spend less link energy per bit than the mesh... but
 	// it also carries far more channels (static). Just pin both priced.
 	for _, r := range results {
-		if r.Points[0].Saturated || r.Points[0].Run.FJPerBit <= 0 {
-			t.Errorf("%v cell not priced: %+v", r.Kind, r.Points[0])
+		if r.Curve[0].Saturated || r.Energy[0].Run.FJPerBit <= 0 {
+			t.Errorf("%v cell not priced: %+v", r.Kind, r.Energy[0])
 		}
 	}
 }
@@ -96,10 +111,10 @@ func TestEnergySweepParetoFrontier(t *testing.T) {
 	}
 	byScenario := map[scenario][]sample{}
 	for _, r := range results {
-		for _, p := range r.Points {
-			if !p.Saturated && p.Run.FJPerBit > 0 {
+		for pi, p := range r.Energy {
+			if !r.Curve[pi].Saturated && p.Run.FJPerBit > 0 {
 				byScenario[scenario{r.Pattern}] = append(byScenario[scenario{r.Pattern}],
-					sample{p.AvgLatencyClks, p.Run.FJPerBit, p.Pareto})
+					sample{r.Curve[pi].AvgLatencyClks, p.Run.FJPerBit, p.Pareto})
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/energy"
 	"repro/internal/noc"
 	"repro/internal/runner"
 	"repro/internal/topology"
@@ -55,8 +56,9 @@ func (c PatternSweepConfig) Validate() error {
 }
 
 // PatternSweepResult is one (topology kind, design point, pattern) cell of
-// a sweep: the full load-latency curve plus the detected saturation
-// throughput, the ExplorationResult-style row of the saturation dataset.
+// an open-loop load sweep: the full load-latency curve plus the detected
+// saturation throughput and, when the sweep is priced (EnergySweep), the
+// measured energy of every drained rate.
 type PatternSweepResult struct {
 	// Kind is the topology family the cell ran on (canonical; "mesh"
 	// for sweeps predating the registry).
@@ -76,6 +78,21 @@ type PatternSweepResult struct {
 	// lies at or below the sweep floor) and must not be read — or
 	// rendered — as a measured throughput.
 	AtFloor bool
+	// StaticW and AreaM2 are the fabric's network-level constants (priced
+	// sweeps only).
+	StaticW, AreaM2 float64
+	// Energy is indexed like Curve: the pricing of each rate, zero for a
+	// saturated one. It is nil when the sweep is unpriced.
+	Energy []EnergyPoint
+}
+
+// EnergyAt returns the pricing of the i-th rate, zero when the sweep is
+// unpriced.
+func (r PatternSweepResult) EnergyAt(i int) EnergyPoint {
+	if i < len(r.Energy) {
+		return r.Energy[i]
+	}
+	return EnergyPoint{}
 }
 
 // PointLabel renders the design point for tables. DesignPoint.String
@@ -112,7 +129,7 @@ func (r PatternSweepResult) ZeroLoadLatencyClks() float64 {
 // contract as Explore. The first failure cancels the batch.
 func PatternSweep(ctx context.Context, points []DesignPoint, patterns []traffic.Pattern,
 	sc PatternSweepConfig, o Options, pool runner.Config) ([]PatternSweepResult, error) {
-	return patternSweep(ctx, nil, points, patterns, sc, o, pool)
+	return patternSweep(ctx, nil, points, patterns, false, sc, o, pool)
 }
 
 // TopologyPatternSweep runs the topology × pattern saturation matrix
@@ -126,13 +143,15 @@ func TopologyPatternSweep(ctx context.Context, kinds []topology.Kind, patterns [
 	if len(kinds) == 0 {
 		return nil, fmt.Errorf("core: topology sweep with no kinds")
 	}
-	return patternSweep(ctx, kinds, []DesignPoint{o.plainPoint()}, patterns, sc, o, pool)
+	return patternSweep(ctx, kinds, []DesignPoint{o.plainPoint()}, patterns, false, sc, o, pool)
 }
 
-// patternSweep is the (kind × point) × pattern body of both entry points;
-// nil kinds selects the Options' kind.
+// patternSweep is the (kind × point) × pattern body of every open-loop
+// load sweep; nil kinds selects the Options' kind. A priced sweep folds
+// one energy.Model per fabric up front, shares it read-only across the
+// pool and prices each drained rate with it.
 func patternSweep(ctx context.Context, kinds []topology.Kind, points []DesignPoint, patterns []traffic.Pattern,
-	sc PatternSweepConfig, o Options, pool runner.Config) ([]PatternSweepResult, error) {
+	priced bool, sc PatternSweepConfig, o Options, pool runner.Config) ([]PatternSweepResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -143,16 +162,28 @@ func patternSweep(ctx context.Context, kinds []topology.Kind, points []DesignPoi
 	if err != nil {
 		return nil, err
 	}
+	models := make([]*energy.Model, len(fabs))
+	if priced {
+		for i, f := range fabs {
+			if models[i], err = energy.NewModel(f.net, o.DSENT); err != nil {
+				return nil, fmt.Errorf("core: %v: %w", f, err)
+			}
+		}
+	}
 	sims := noc.NewSimPool()
 	return runner.Map(ctx, len(fabs)*len(patterns), pool, func(ctx context.Context, i int) (PatternSweepResult, error) {
-		f, pat := fabs[i/len(patterns)], patterns[i%len(patterns)]
+		f, model, pat := fabs[i/len(patterns)], models[i/len(patterns)], patterns[i%len(patterns)]
 		base, err := patternBase(pat, f.net)
 		if err != nil {
 			return PatternSweepResult{}, fmt.Errorf("core: %v / %s: %w", f, pat.Name(), err)
 		}
 		res := PatternSweepResult{Kind: f.kind, Point: f.point, Pattern: pat.Name(),
 			Curve: make([]noc.LoadPoint, 0, len(sc.Rates))}
-		for _, rate := range sc.Rates {
+		if model != nil {
+			res.StaticW, res.AreaM2 = model.StaticW(), model.AreaM2()
+			res.Energy = make([]EnergyPoint, len(sc.Rates))
+		}
+		for ri, rate := range sc.Rates {
 			if err := ctx.Err(); err != nil {
 				return PatternSweepResult{}, err
 			}
@@ -161,9 +192,14 @@ func patternSweep(ctx context.Context, kinds []topology.Kind, points []DesignPoi
 			switch {
 			case err == nil:
 				pt.AvgLatencyClks, pt.P99LatencyClks = st.AvgPacketLatencyClks, st.P99PacketLatencyClks
+				if model != nil {
+					res.Energy[ri], err = price(model, st, rate)
+				}
 			case errors.Is(err, noc.ErrSaturated):
-				pt.Saturated = true
-			default:
+				// A run that fails to drain is a curve point, not a failure.
+				pt.Saturated, err = true, nil
+			}
+			if err != nil {
 				return PatternSweepResult{}, fmt.Errorf("core: %v / %s @ %v: %w", f, pat.Name(), rate, err)
 			}
 			res.Curve = append(res.Curve, pt)

@@ -189,11 +189,11 @@ func KindComparisonTable(results []core.KindExploration) string {
 	return tbl.String()
 }
 
-// WriteEnergySweep emits the measured latency–energy dataset: one row per
-// (topology kind, design point, pattern, offered rate) sample with the
-// full component energy breakdown, the simulated CLEAR and the Pareto
-// frontier mark.
-func WriteEnergySweep(w io.Writer, results []core.EnergySweepResult) error {
+// WriteEnergySweep emits the measured latency–energy dataset of a priced
+// load sweep (core.EnergySweep): one row per (topology kind, design
+// point, pattern, offered rate) sample with the full component energy
+// breakdown, the simulated CLEAR and the Pareto frontier mark.
+func WriteEnergySweep(w io.Writer, results []core.PatternSweepResult) error {
 	cw := csv.NewWriter(w)
 	header := []string{
 		"topology", "base", "express", "hops", "pattern", "injection_rate",
@@ -212,26 +212,27 @@ func WriteEnergySweep(w io.Writer, results []core.EnergySweepResult) error {
 		return err
 	}
 	for _, r := range results {
-		for _, p := range r.Points {
+		for i, p := range r.Curve {
+			e := r.EnergyAt(i)
 			row := []string{
 				sweepKind(r.Kind),
 				r.Point.Base.String(), r.Point.Express.String(), strconv.Itoa(r.Point.Hops),
-				r.Pattern, f(p.Rate),
+				r.Pattern, f(p.InjectionRate),
 				strconv.FormatBool(p.Saturated), f(p.AvgLatencyClks), f(p.P99LatencyClks),
-				strconv.FormatInt(p.Run.Cycles, 10),
-				f(p.Run.FJPerBit), f(p.Run.DynamicJ), f(p.Run.StaticJ), f(p.Run.TotalJ),
-				f(p.Run.AvgPowerW),
+				strconv.FormatInt(e.Run.Cycles, 10),
+				f(e.Run.FJPerBit), f(e.Run.DynamicJ), f(e.Run.StaticJ), f(e.Run.TotalJ),
+				f(e.Run.AvgPowerW),
 			}
 			for _, t := range tech.Technologies {
-				row = append(row, f(p.Run.Dynamic.LinkJ[t]))
+				row = append(row, f(e.Run.Dynamic.LinkJ[t]))
 			}
 			row = append(row,
-				f(p.Run.Dynamic.BufferJ), f(p.Run.Dynamic.CrossbarJ),
-				f(p.Run.Dynamic.ModulatorJ), f(p.Run.Dynamic.ReceiverJ),
-				f(p.Run.Dynamic.SerdesJ), f(p.Run.Dynamic.WireJ), f(p.Run.Dynamic.ExpressJ),
-				f(p.Run.AmortizedDynamicJ),
-				f(p.CLEAR.Value), f(p.CLEAR.R), f(p.CLEAR.AvgUtilization),
-				strconv.FormatBool(p.Pareto),
+				f(e.Run.Dynamic.BufferJ), f(e.Run.Dynamic.CrossbarJ),
+				f(e.Run.Dynamic.ModulatorJ), f(e.Run.Dynamic.ReceiverJ),
+				f(e.Run.Dynamic.SerdesJ), f(e.Run.Dynamic.WireJ), f(e.Run.Dynamic.ExpressJ),
+				f(e.Run.AmortizedDynamicJ),
+				f(e.CLEAR.Value), f(e.CLEAR.R), f(e.CLEAR.AvgUtilization),
+				strconv.FormatBool(e.Pareto),
 			)
 			if err := cw.Write(row); err != nil {
 				return err
@@ -246,28 +247,28 @@ func WriteEnergySweep(w io.Writer, results []core.EnergySweepResult) error {
 // text table: one row per drained (kind, design point, pattern, rate)
 // sample, frontier rows marked with '*' ("drained" — saturated rates
 // render a dash row instead of numbers).
-func EnergyTable(results []core.EnergySweepResult) string {
+func EnergyTable(results []core.PatternSweepResult) string {
 	tbl := stats.NewTable("topology", "design point", "pattern", "rate",
 		"lat(clk)", "fJ/bit", "dyn(µJ)", "power(W)", "CLEAR", "front").
 		AlignRight(3, 4, 5, 6, 7, 8)
 	for _, r := range results {
-		for _, p := range r.Points {
+		for i, p := range r.Curve {
 			if p.Saturated {
 				tbl.AddRow(string(r.Kind), r.PointLabel(), r.Pattern,
-					strconv.FormatFloat(p.Rate, 'g', 4, 64), "-", "-", "-", "-", "-", "")
+					strconv.FormatFloat(p.InjectionRate, 'g', 4, 64), "-", "-", "-", "-", "-", "")
 				continue
 			}
-			mark := ""
-			if p.Pareto {
+			e, mark := r.EnergyAt(i), ""
+			if e.Pareto {
 				mark = "*"
 			}
 			tbl.AddRow(string(r.Kind), r.PointLabel(), r.Pattern,
-				strconv.FormatFloat(p.Rate, 'g', 4, 64),
+				strconv.FormatFloat(p.InjectionRate, 'g', 4, 64),
 				strconv.FormatFloat(p.AvgLatencyClks, 'f', 1, 64),
-				strconv.FormatFloat(p.Run.FJPerBit, 'f', 0, 64),
-				strconv.FormatFloat(p.Run.DynamicJ*1e6, 'f', 3, 64),
-				strconv.FormatFloat(p.Run.AvgPowerW, 'f', 3, 64),
-				strconv.FormatFloat(p.CLEAR.Value, 'f', 4, 64),
+				strconv.FormatFloat(e.Run.FJPerBit, 'f', 0, 64),
+				strconv.FormatFloat(e.Run.DynamicJ*1e6, 'f', 3, 64),
+				strconv.FormatFloat(e.Run.AvgPowerW, 'f', 3, 64),
+				strconv.FormatFloat(e.CLEAR.Value, 'f', 4, 64),
 				mark)
 		}
 	}
@@ -278,7 +279,7 @@ func EnergyTable(results []core.EnergySweepResult) string {
 // (kind, pattern) scenario the non-dominated samples across all competing
 // design points, in ascending latency order (energy therefore descends —
 // the shape of the trade-off curve read top to bottom).
-func ParetoTable(results []core.EnergySweepResult) string {
+func ParetoTable(results []core.PatternSweepResult) string {
 	type row struct {
 		kind          string
 		point         string
@@ -288,10 +289,10 @@ func ParetoTable(results []core.EnergySweepResult) string {
 	}
 	var rows []row
 	for _, r := range results {
-		for _, p := range r.Points {
-			if p.Pareto {
+		for i, e := range r.Energy {
+			if e.Pareto {
 				rows = append(rows, row{string(r.Kind), r.PointLabel(), r.Pattern,
-					p.Rate, p.AvgLatencyClks, p.Run.FJPerBit, p.CLEAR.Value})
+					r.Curve[i].InjectionRate, r.Curve[i].AvgLatencyClks, e.Run.FJPerBit, e.CLEAR.Value})
 			}
 		}
 	}

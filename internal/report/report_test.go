@@ -216,12 +216,12 @@ func TestSaturationTableGoldenRendering(t *testing.T) {
 	}
 }
 
-// energySweepResults fabricates a small measured sweep for writer tests.
-func energySweepResults() []core.EnergySweepResult {
+// energySweepResults fabricates a small priced sweep for writer tests.
+func energySweepResults() []core.PatternSweepResult {
 	mesh := core.DesignPoint{Base: tech.Electronic, Express: tech.Electronic, Hops: 0}
 	hybrid := core.DesignPoint{Base: tech.Electronic, Express: tech.HyPPI, Hops: 3}
-	mk := func(rate, lat, fj float64, pareto bool) core.EnergyPoint {
-		p := core.EnergyPoint{Rate: rate, AvgLatencyClks: lat, P99LatencyClks: 2 * lat, Pareto: pareto}
+	mk := func(fj float64, pareto bool) core.EnergyPoint {
+		p := core.EnergyPoint{Pareto: pareto}
 		p.Run.Cycles = 5000
 		p.Run.Seconds = 5000 / 0.78125e9
 		p.Run.FJPerBit = fj
@@ -233,11 +233,16 @@ func energySweepResults() []core.EnergySweepResult {
 		p.CLEAR.R = 1.1
 		return p
 	}
-	return []core.EnergySweepResult{
+	lp := func(rate, lat float64) noc.LoadPoint {
+		return noc.LoadPoint{InjectionRate: rate, AvgLatencyClks: lat, P99LatencyClks: 2 * lat}
+	}
+	return []core.PatternSweepResult{
 		{Kind: topology.Mesh, Point: mesh, Pattern: "tornado", StaticW: 1.5, AreaM2: 2e-5,
-			Points: []core.EnergyPoint{mk(0.05, 40, 60000, false), {Rate: 0.5, Saturated: true}}},
+			Curve:  []noc.LoadPoint{lp(0.05, 40), {InjectionRate: 0.5, Saturated: true}},
+			Energy: []core.EnergyPoint{mk(60000, false), {}}},
 		{Kind: topology.Mesh, Point: hybrid, Pattern: "tornado", StaticW: 1.6, AreaM2: 2e-5,
-			Points: []core.EnergyPoint{mk(0.05, 30, 55000, true)}},
+			Curve:  []noc.LoadPoint{lp(0.05, 30)},
+			Energy: []core.EnergyPoint{mk(55000, true)}},
 	}
 }
 
